@@ -1,6 +1,6 @@
 //! CPU affinity masks.
 //!
-//! A [`CpuMask`] is a dynamic bitset over the cores of one node. The DROM
+//! A [`CpuMask`] is an inline bitset over the cores of one node. The DROM
 //! substrate manipulates these to express task→core pinning; the SD-Policy
 //! node-management layer (paper Listing 3) uses the socket helpers to keep
 //! co-scheduled jobs isolated on separate sockets.
@@ -8,37 +8,59 @@
 use std::fmt;
 
 const BITS: usize = 64;
+/// Inline words per mask.
+const WORDS: usize = 2;
 
-/// A set of CPU core indices within one node.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+/// A set of CPU core indices within one node: an inline, `Copy` bitset of
+/// at most [`CpuMask::MAX_CORES`] cores (no heap allocation).
+///
+/// Invariant: bits at and above `ncores` are always zero, so the derived
+/// equality and hash compare exactly the cores in the mask.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CpuMask {
-    words: Vec<u64>,
+    words: [u64; WORDS],
     ncores: usize,
 }
 
+/// Word `i` of a mask with cores `[lo, hi)` set (`lo <= hi`).
+fn range_word(i: usize, lo: usize, hi: usize) -> u64 {
+    let (base, top) = (i * BITS, (i + 1) * BITS);
+    let (a, b) = (lo.clamp(base, top) - base, hi.clamp(base, top) - base);
+    let below = |n: usize| if n == BITS { u64::MAX } else { (1u64 << n) - 1 };
+    below(b) & !below(a)
+}
+
 impl CpuMask {
-    /// Empty mask for a node with `ncores` cores.
+    /// The widest node a mask can describe.
+    pub const MAX_CORES: usize = WORDS * BITS;
+
+    /// Empty mask for a node with `ncores` cores. Panics beyond
+    /// [`CpuMask::MAX_CORES`] (programming error).
     pub fn empty(ncores: usize) -> CpuMask {
+        assert!(
+            ncores <= Self::MAX_CORES,
+            "{ncores} cores exceed the mask capacity {}",
+            Self::MAX_CORES
+        );
         CpuMask {
-            words: vec![0; ncores.div_ceil(BITS)],
+            words: [0; WORDS],
             ncores,
         }
     }
 
     /// Mask with every core of the node set.
     pub fn full(ncores: usize) -> CpuMask {
-        let mut m = CpuMask::empty(ncores);
-        for c in 0..ncores {
-            m.set(c);
-        }
-        m
+        CpuMask::range(ncores, 0, ncores)
     }
 
     /// Mask covering the half-open core range `[lo, hi)`.
     pub fn range(ncores: usize, lo: usize, hi: usize) -> CpuMask {
         let mut m = CpuMask::empty(ncores);
-        for c in lo..hi.min(ncores) {
-            m.set(c);
+        let hi = hi.min(ncores);
+        if lo < hi {
+            for (i, w) in m.words.iter_mut().enumerate() {
+                *w = range_word(i, lo, hi);
+            }
         }
         m
     }
@@ -108,18 +130,29 @@ impl CpuMask {
 
     /// Iterates over set core indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.ncores).filter(move |&c| self.contains(c))
+        self.words.iter().enumerate().flat_map(|(i, &w)| {
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    i * BITS + bit
+                })
+            })
+        })
     }
 
-    /// Raw bitset words (64 cores per word, ascending), for persistence.
+    /// Raw bitset words (64 cores per word, ascending; `width / 64` rounded
+    /// up of them), for persistence.
     pub fn words(&self) -> &[u64] {
-        &self.words
+        &self.words[..self.ncores.div_ceil(BITS)]
     }
 
-    /// Rebuilds a mask from raw words. `None` when the word count doesn't
-    /// match the width or a bit beyond `ncores` is set.
-    pub fn from_words(ncores: usize, words: Vec<u64>) -> Option<CpuMask> {
-        if words.len() != ncores.div_ceil(BITS) {
+    /// Rebuilds a mask from raw words. `None` when the width exceeds
+    /// [`CpuMask::MAX_CORES`], the word count doesn't match the width, or a
+    /// bit beyond `ncores` is set.
+    pub fn from_words(ncores: usize, words: &[u64]) -> Option<CpuMask> {
+        if ncores > Self::MAX_CORES || words.len() != ncores.div_ceil(BITS) {
             return None;
         }
         if let Some(last) = words.last() {
@@ -128,7 +161,9 @@ impl CpuMask {
                 return None;
             }
         }
-        Some(CpuMask { words, ncores })
+        let mut m = CpuMask::empty(ncores);
+        m.words[..words.len()].copy_from_slice(words);
+        Some(m)
     }
 
     /// The lowest `n` set cores as a new mask (used when shrinking a task to
@@ -205,15 +240,15 @@ mod tests {
         let b = CpuMask::range(16, 8, 16);
         assert!(a.is_disjoint(&b));
 
-        let mut u = a.clone();
+        let mut u = a;
         u.union_with(&b);
         assert_eq!(u.count(), 16);
 
-        let mut i = u.clone();
+        let mut i = u;
         i.intersect_with(&a);
         assert_eq!(i, a);
 
-        let mut s = u.clone();
+        let mut s = u;
         s.subtract(&a);
         assert_eq!(s, b);
     }
@@ -244,6 +279,52 @@ mod tests {
             m.set(c);
         }
         assert_eq!(format!("{m:?}"), "CpuMask[7/16:0-3,8,12-13]");
+    }
+
+    /// Bit-by-bit reference construction of `[lo, hi)` on `width` cores.
+    fn reference(width: usize, lo: usize, hi: usize) -> CpuMask {
+        let mut m = CpuMask::empty(width);
+        for c in lo..hi.min(width) {
+            m.set(c);
+        }
+        m
+    }
+
+    #[test]
+    fn word_wise_full_and_range_match_bitwise_at_word_edges() {
+        for width in [0, 1, 63, 64, 65, 127, 128] {
+            assert_eq!(CpuMask::full(width), reference(width, 0, width), "full({width})");
+            assert_eq!(CpuMask::full(width).count(), width);
+            for lo in [0, 1, 63, 64, 65, 127, 128] {
+                for hi in [0, 1, 2, 63, 64, 65, 66, 127, 128, 200] {
+                    let m = CpuMask::range(width, lo, hi);
+                    assert_eq!(m, reference(width, lo, hi), "range({width}, {lo}, {hi})");
+                    let cores: Vec<usize> = (lo..hi.min(width)).collect();
+                    assert_eq!(m.iter().collect::<Vec<_>>(), cores);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn from_words_round_trips_and_rejects_bad_input() {
+        let m = reference(96, 3, 70);
+        assert_eq!(m.words().len(), 2);
+        assert_eq!(CpuMask::from_words(96, m.words()), Some(m));
+        assert_eq!(CpuMask::full(0).words(), &[] as &[u64]);
+        assert_eq!(CpuMask::from_words(0, &[]), Some(CpuMask::empty(0)));
+        // Width beyond the inline capacity, even with a well-formed word count.
+        assert_eq!(CpuMask::from_words(CpuMask::MAX_CORES + 1, &[0, 0, 0]), None);
+        assert_eq!(CpuMask::from_words(192, &[0, 0, 0]), None);
+        // Word count mismatch, and a bit beyond the width.
+        assert_eq!(CpuMask::from_words(64, &[0, 0]), None);
+        assert_eq!(CpuMask::from_words(65, &[0, 0b10]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the mask capacity")]
+    fn empty_beyond_capacity_panics() {
+        CpuMask::empty(CpuMask::MAX_CORES + 1);
     }
 
     #[test]

@@ -28,7 +28,7 @@ proptest! {
 
     #[test]
     fn union_matches_model((a, sa) in arb_mask(), (b, sb) in arb_mask()) {
-        let mut u = a.clone();
+        let mut u = a;
         u.union_with(&b);
         let expect: HashSet<usize> = sa.union(&sb).copied().collect();
         prop_assert_eq!(u.iter().collect::<HashSet<_>>(), expect);
@@ -36,7 +36,7 @@ proptest! {
 
     #[test]
     fn intersect_matches_model((a, sa) in arb_mask(), (b, sb) in arb_mask()) {
-        let mut i = a.clone();
+        let mut i = a;
         i.intersect_with(&b);
         let expect: HashSet<usize> = sa.intersection(&sb).copied().collect();
         prop_assert_eq!(i.iter().collect::<HashSet<_>>(), expect);
@@ -44,7 +44,7 @@ proptest! {
 
     #[test]
     fn subtract_matches_model((a, sa) in arb_mask(), (b, sb) in arb_mask()) {
-        let mut d = a.clone();
+        let mut d = a;
         d.subtract(&b);
         let expect: HashSet<usize> = sa.difference(&sb).copied().collect();
         prop_assert_eq!(d.iter().collect::<HashSet<_>>(), expect);

@@ -10,12 +10,18 @@
 //! `O(nm)` by bucketing candidates per weight (the best pair for a weight
 //! split is always the two lowest-penalty candidates of the buckets). For
 //! `m ≥ 3` a bounded depth-first search over the buckets is used.
+//!
+//! The policy runs [`MateScratch::select`], which returns exactly what
+//! [`collect_candidates`] followed by [`pick_mates`] returns but checks the
+//! weight constraint first: almost every trial fails there, before any
+//! sort (DESIGN.md §9, "mate-selection fast path").
 
 use crate::config::SdPolicyConfig;
 use crate::penalty::{mate_penalty, shrink_increase};
 use cluster::JobId;
+use drom::SharingFactor;
 use simkit::SimTime;
-use slurm_sim::SimState;
+use slurm_sim::{timing, MateEntry, SimState};
 use std::collections::BTreeMap;
 
 /// A scored candidate mate.
@@ -39,6 +45,117 @@ pub struct Selection {
     pub performance_impact: f64,
 }
 
+/// Everything mate selection reads from the simulator. [`MatePool::of`]
+/// borrows it from a [`SimState`]; tests build one over a synthetic pool.
+#[derive(Debug, Clone, Copy)]
+pub struct MatePool<'a> {
+    /// Eligible mates, ascending by `(base, id)`
+    /// ([`SimState::eligible_mates`]). Each `base` is the Eq. 4 penalty
+    /// without its increase term, computed as `(wait + req) / req`, so it
+    /// never exceeds the entry's full penalty.
+    pub entries: &'a [MateEntry],
+    pub now: SimTime,
+    /// Cores per node.
+    pub full: u32,
+    pub sharing: SharingFactor,
+    /// Completely idle nodes (the `include_free_nodes` budget).
+    pub idle_nodes: u32,
+    /// Latest requested end among *all* running jobs (a superset of the
+    /// pool), `None` when idle. When it falls short of the new job's end the
+    /// finish-inside constraint rejects every entry, so the scan is skipped.
+    /// `Some(SimTime::MAX)` never prunes.
+    pub latest_req_end: Option<SimTime>,
+}
+
+impl<'a> MatePool<'a> {
+    /// The pool of `st`. Only incremental mode uses the running-by-end
+    /// prune; the legacy path keeps the unconditional scan as the perf
+    /// baseline (the outcome is identical either way).
+    pub fn of(st: &'a SimState) -> MatePool<'a> {
+        MatePool {
+            entries: st.eligible_mates(),
+            now: st.now,
+            full: st.spec().node.cores(),
+            sharing: st.sharing(),
+            idle_nodes: st.cluster.empty_node_count(),
+            latest_req_end: if st.cfg.incremental {
+                st.latest_running_req_end()
+            } else {
+                Some(SimTime::MAX)
+            },
+        }
+    }
+
+    /// Appends every entry that passes the finish-inside and cut-off
+    /// filters to `out` (cleared first, also when the scan is pruned), in
+    /// pool order: unsorted and untruncated.
+    fn scan(&self, mall_wall: u64, cutoff: f64, cfg: &SdPolicyConfig, out: &mut Vec<Candidate>) {
+        out.clear();
+        let new_end = self.now.after(mall_wall);
+        if self.latest_req_end.is_none_or(|latest| latest < new_end) {
+            return;
+        }
+        let full = self.full;
+        // The pool is sorted by base penalty ((wait+req)/req); the full Eq. 4
+        // penalty adds increase/req, so pool order is a good (not perfect)
+        // visiting order. We scan a bounded multiple of the cap, score
+        // exactly, then sort and truncate — the paper's sort-then-truncate.
+        // The pool entries carry every filter/score input (denormalised at
+        // insertion), so the scan never touches the job table.
+        let scan_limit = cfg.candidate_cap.saturating_mul(4).max(16);
+        // The runtime increase depends on the entry only through its ranks
+        // per node, which jobs mostly share: score it once per run of equal
+        // values. `None`: the mate keeps every core, nothing can be freed.
+        let increase_for = |ranks: u32| {
+            let keep = self.sharing.keep_cores(full, ranks);
+            (keep < full).then(|| shrink_increase(keep as f64 / full as f64, mall_wall))
+        };
+        let mut last: Option<(u32, Option<u64>)> = None;
+        for e in self.entries.iter().take(scan_limit) {
+            // The base penalty bounds the full one from below, so once the
+            // ascending base reaches the cut-off no later entry passes Eq. 2.
+            if e.base >= cutoff {
+                break;
+            }
+            // Finish-inside-mate constraint (requested-time based, §3.2.4).
+            if e.req_end < new_end {
+                continue;
+            }
+            let increase = match last {
+                Some((ranks, increase)) if ranks == e.ranks_per_node => increase,
+                _ => {
+                    let increase = increase_for(e.ranks_per_node);
+                    last = Some((e.ranks_per_node, increase));
+                    increase
+                }
+            };
+            let Some(increase) = increase else {
+                continue; // nothing can be freed
+            };
+            let p = mate_penalty(e.wait, increase, e.req_time);
+            if p >= cutoff {
+                continue;
+            }
+            out.push(Candidate {
+                id: e.id,
+                weight: e.weight,
+                penalty: p,
+            });
+        }
+    }
+}
+
+/// Sorts scanned candidates by `(penalty, id)` and keeps the `cap` best.
+fn sort_and_truncate(cands: &mut Vec<Candidate>, cap: usize) {
+    cands.sort_by(|a, b| {
+        a.penalty
+            .partial_cmp(&b.penalty)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.id.cmp(&b.id))
+    });
+    cands.truncate(cap);
+}
+
 /// Collects, filters and scores candidate mates for a job needing
 /// `mall_wall` seconds of co-residency (paper: `filter_and_sort`).
 ///
@@ -50,59 +167,116 @@ pub struct Selection {
 /// * the cut-off `pᵢ < P` (Eq. 2);
 /// * the `nm` cap on the candidate list.
 pub fn collect_candidates(
-    st: &SimState,
+    pool: &MatePool,
     mall_wall: u64,
     cutoff: f64,
     cfg: &SdPolicyConfig,
 ) -> Vec<Candidate> {
-    let now = st.now;
-    let new_end = now.after(mall_wall);
-    // Index prune (incremental mode): the running-by-end index knows the
-    // latest requested end among *all* running jobs (a superset of the mate
-    // pool). If even that falls short of the new job's end, the
-    // finish-inside constraint rejects every candidate — skip the
-    // scan-and-score entirely. The outcome is identical either way; the
-    // legacy path keeps the unconditional scan as the perf baseline.
-    if st.cfg.incremental && st.latest_running_req_end().is_none_or(|latest| latest < new_end) {
-        return Vec::new();
-    }
-    let full = st.spec().node.cores();
-    let mut out: Vec<Candidate> = Vec::with_capacity(cfg.candidate_cap.min(64));
-    // The pool is sorted by base penalty ((wait+req)/req); the full Eq. 4
-    // penalty adds increase/req, so pool order is a good (not perfect)
-    // visiting order. We scan a bounded multiple of the cap, score exactly,
-    // then sort and truncate — the paper's sort-then-truncate. The pool
-    // entries carry every filter/score input (denormalised at insertion),
-    // so the scan never touches the job table.
-    let scan_limit = cfg.candidate_cap.saturating_mul(4).max(16);
-    for e in st.eligible_mates().iter().take(scan_limit) {
-        // Finish-inside-mate constraint (requested-time based, §3.2.4).
-        if e.req_end < new_end {
-            continue;
-        }
-        let keep = st.sharing().keep_cores(full, e.ranks_per_node);
-        if keep >= full {
-            continue; // nothing can be freed
-        }
-        let increase = shrink_increase(keep as f64 / full as f64, mall_wall);
-        let p = mate_penalty(e.wait, increase, e.req_time);
-        if p >= cutoff {
-            continue;
-        }
-        out.push(Candidate {
-            id: e.id,
-            weight: e.weight,
-            penalty: p,
-        });
-    }
-    out.sort_by(|a, b| {
-        a.penalty
-            .partial_cmp(&b.penalty)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.id.cmp(&b.id))
-    });
-    out.truncate(cfg.candidate_cap);
+    let mut out = Vec::new();
+    pool.scan(mall_wall, cutoff, cfg, &mut out);
+    sort_and_truncate(&mut out, cfg.candidate_cap);
     out
+}
+
+/// Reusable buffers of [`MateScratch::select`], kept by the policy between
+/// trials so a trial allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct MateScratch {
+    candidates: Vec<Candidate>,
+    /// Bitset of candidate weights seen by the pre-check.
+    seen: Vec<u64>,
+}
+
+impl MateScratch {
+    /// Feasibility-first mate selection: returns exactly what
+    /// `pick_mates(&collect_candidates(pool, …), target, pool.idle_nodes,
+    /// cfg)` returns. After the scan it checks whether any set of at most
+    /// `max_mates` filtered candidates meets the weight constraint; if none
+    /// does, no subset of the filtered list does either — and the truncated
+    /// list is such a subset — so the trial fails before the sort.
+    pub fn select(
+        &mut self,
+        pool: &MatePool,
+        mall_wall: u64,
+        cutoff: f64,
+        target: u32,
+        cfg: &SdPolicyConfig,
+    ) -> Option<Selection> {
+        let free = free_node_budget(target, pool.idle_nodes, cfg);
+        {
+            let _scan = timing::scope(&timing::MATE_SCAN);
+            pool.scan(mall_wall, cutoff, cfg, &mut self.candidates);
+            let lo = target.saturating_sub(free);
+            if !weights_can_sum(&self.candidates, lo, target, cfg.max_mates, &mut self.seen) {
+                return None;
+            }
+        }
+        let _select = timing::scope(&timing::MATE_SELECT);
+        sort_and_truncate(&mut self.candidates, cfg.candidate_cap);
+        pick_mates(&self.candidates, target, pool.idle_nodes, cfg)
+    }
+}
+
+/// Whether some set of at most `max_mates` candidates has weights summing
+/// to a need in `lo..=hi` — Eq. 3, widened to the needs idle nodes allow.
+/// Exact for `max_mates ≤ 2`: one pass that remembers the weights seen so
+/// far in the bitset `seen` and stops at the first single or pair that
+/// fits. Larger `max_mates` is not pre-checked and answers `true`.
+fn weights_can_sum(
+    cands: &[Candidate],
+    lo: u32,
+    hi: u32,
+    max_mates: usize,
+    seen: &mut Vec<u64>,
+) -> bool {
+    match max_mates {
+        0 => return false,
+        1 | 2 => {}
+        _ => return true,
+    }
+    seen.clear();
+    seen.resize(hi as usize / 64 + 1, 0);
+    for c in cands {
+        let w = c.weight;
+        if w > hi {
+            continue;
+        }
+        if w >= lo {
+            return true; // a single mate
+        }
+        // A pair with an earlier candidate: a seen weight in
+        // `lo - w ..= hi - w` (no underflow: `w < lo <= hi` here).
+        if max_mates == 2 && any_bit(seen, lo - w, hi - w) {
+            return true;
+        }
+        seen[w as usize / 64] |= 1 << (w % 64);
+    }
+    false
+}
+
+/// Whether any bit in `lo..=hi` of the bitset is set.
+fn any_bit(bits: &[u64], lo: u32, hi: u32) -> bool {
+    let (lo, hi) = (lo as usize, hi as usize);
+    (lo / 64..=hi / 64).any(|i| {
+        let mut word = bits[i];
+        if i == lo / 64 {
+            word &= u64::MAX << (lo % 64);
+        }
+        if i == hi / 64 {
+            word &= u64::MAX >> (63 - hi % 64);
+        }
+        word != 0
+    })
+}
+
+/// Idle nodes a selection for `target` may count toward Eq. 3: none unless
+/// `include_free_nodes`, and never all of them (at least one mate shares).
+fn free_node_budget(target: u32, free_nodes_available: u32, cfg: &SdPolicyConfig) -> u32 {
+    if cfg.include_free_nodes {
+        free_nodes_available.min(target.saturating_sub(1))
+    } else {
+        0
+    }
 }
 
 /// Finds the minimum-PI combination of ≤ `max_mates` candidates whose
@@ -117,11 +291,7 @@ pub fn pick_mates(
     if target == 0 || candidates.is_empty() {
         return None;
     }
-    let free = if cfg.include_free_nodes {
-        free_nodes_available.min(target.saturating_sub(1))
-    } else {
-        0
-    };
+    let free = free_node_budget(target, free_nodes_available, cfg);
     let mut best: Option<Selection> = None;
     // Using f idle nodes reduces the weight the mates must cover. Prefer
     // more idle nodes first (less shrink impact), but still compare by PI.
@@ -243,12 +413,6 @@ fn best_combo(candidates: &[Candidate], need: u32, max_mates: usize) -> Option<(
     best
 }
 
-/// Wall-clock end instant of a co-schedule beginning now (helper shared
-/// with the policy; exposed for tests).
-pub fn mall_end(now: SimTime, mall_wall: u64) -> SimTime {
-    now.after(mall_wall)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,6 +514,72 @@ mod tests {
         let sel = pick_mates(&cands, 4, 2, &with_free).unwrap();
         assert_eq!(sel.free_nodes, 2);
         assert_eq!(sel.mates, vec![JobId(1)]);
+    }
+
+    fn entry(id: u64, weight: u32) -> MateEntry {
+        MateEntry {
+            base: 1.0,
+            id: JobId(id),
+            wait: 0,
+            req_time: 1_000,
+            req_end: SimTime(10_000),
+            weight,
+            ranks_per_node: 1,
+        }
+    }
+
+    fn pool(entries: &[MateEntry], latest_req_end: Option<SimTime>) -> MatePool<'_> {
+        MatePool {
+            entries,
+            now: SimTime(0),
+            full: 8,
+            sharing: SharingFactor::HALF,
+            idle_nodes: 0,
+            latest_req_end,
+        }
+    }
+
+    #[test]
+    fn pruned_scan_after_a_hit_sees_no_stale_candidates() {
+        let entries = [entry(1, 2), entry(2, 2)];
+        let mut scratch = MateScratch::default();
+        let all = pool(&entries, Some(SimTime::MAX));
+        let hit = scratch.select(&all, 100, f64::INFINITY, 4, &cfg());
+        assert_eq!(hit.map(|s| s.mates), Some(vec![JobId(1), JobId(2)]));
+        // No running job ends late enough: the prune fires, and the
+        // candidates the first trial left in the buffer must not leak in.
+        for latest in [None, Some(SimTime(50))] {
+            let p = pool(&entries, latest);
+            assert_eq!(scratch.select(&p, 100, f64::INFINITY, 4, &cfg()), None);
+        }
+    }
+
+    #[test]
+    fn select_truncates_like_collect_candidates() {
+        // 100 weight-1 candidates pass every filter; penalty rises with id.
+        let entries: Vec<MateEntry> =
+            (1..=100).map(|i| MateEntry { wait: i * 10, ..entry(i, 1) }).collect();
+        let p = pool(&entries, Some(SimTime::MAX));
+        assert_eq!(collect_candidates(&p, 100, f64::INFINITY, &cfg()).len(), 64);
+        let sel = MateScratch::default().select(&p, 100, f64::INFINITY, 2, &cfg());
+        assert_eq!(sel.map(|s| s.mates), Some(vec![JobId(1), JobId(2)]));
+    }
+
+    #[test]
+    fn weight_precheck_is_exact_up_to_pairs() {
+        let cands = [cand(1, 3, 0.0), cand(2, 5, 0.0), cand(3, 5, 0.0)];
+        let mut buf = Vec::new();
+        let mut can = |lo, hi, m| weights_can_sum(&cands, lo, hi, m, &mut buf);
+        assert!(!can(1, 1, 0), "no mates allowed");
+        assert!(can(5, 5, 1));
+        assert!(!can(8, 8, 1));
+        assert!(can(8, 8, 2));
+        assert!(can(10, 10, 2), "two distinct candidates of one weight");
+        assert!(!can(6, 6, 2), "3 + 3 would reuse one candidate");
+        assert!(!can(13, 13, 2));
+        assert!(can(13, 13, 3), "m >= 3 is not pre-checked");
+        assert!(!can(6, 7, 2));
+        assert!(can(6, 8, 2), "a need in the idle-node range");
     }
 
     #[test]

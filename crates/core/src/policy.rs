@@ -19,7 +19,7 @@
 //! that runs "for each job right after the static trial" (§3.1).
 
 use crate::config::SdPolicyConfig;
-use crate::mates::{collect_candidates, pick_mates};
+use crate::mates::{MatePool, MateScratch};
 use crate::penalty::malleable_wall_time;
 use cluster::JobId;
 use simkit::SimTime;
@@ -33,6 +33,7 @@ pub struct SdPolicy {
     /// every time the controller is not busy", §3.2.2).
     pass_cutoff: Option<f64>,
     trials_this_pass: usize,
+    mates: MateScratch,
 }
 
 impl SdPolicy {
@@ -41,6 +42,7 @@ impl SdPolicy {
             cfg,
             pass_cutoff: None,
             trials_this_pass: 0,
+            mates: MateScratch::default(),
         }
     }
 
@@ -113,12 +115,9 @@ impl SdPolicy {
         }
 
         let cutoff = self.cutoff(st);
-        let candidates = collect_candidates(st, mall_wall, cutoff, &self.cfg);
-        if candidates.is_empty() {
-            return false;
-        }
-        let free_avail = st.cluster.empty_node_count();
-        let Some(selection) = pick_mates(&candidates, req_nodes, free_avail, &self.cfg) else {
+        let pool = MatePool::of(st);
+        let Some(selection) = self.mates.select(&pool, mall_wall, cutoff, req_nodes, &self.cfg)
+        else {
             return false;
         };
         if st

@@ -115,10 +115,10 @@ impl NodeManager {
             // Prefer socket-contiguous placement in the free space.
             expand_into(&self.spec, &CpuMask::empty(self.spec.cores() as usize), &free, cores)
         };
-        let handle = malleable.then(|| registry.attach(job, self.node, mask.clone()));
+        let handle = malleable.then(|| registry.attach(job, self.node, mask));
         self.residents.push(Resident {
             job,
-            mask: mask.clone(),
+            mask,
             malleable,
             handle,
             lender: None,
@@ -159,20 +159,20 @@ impl NodeManager {
 
         // Shrink the mate, socket-first for isolation.
         let new_mate_mask = shrink_socket_first(&self.spec, &self.residents[mate_idx].mask, keep);
-        let mut given = self.residents[mate_idx].mask.clone();
+        let mut given = self.residents[mate_idx].mask;
         given.subtract(&new_mate_mask);
         // The incoming job also gets any cores that were already free.
         given.union_with(&free);
 
-        self.residents[mate_idx].mask = new_mate_mask.clone();
+        self.residents[mate_idx].mask = new_mate_mask;
         if let Some(h) = self.residents[mate_idx].handle {
-            registry.set_mask(h, new_mate_mask.clone());
+            registry.set_mask(h, new_mate_mask);
         }
 
-        let handle = registry.attach(new_job, self.node, given.clone());
+        let handle = registry.attach(new_job, self.node, given);
         self.residents.push(Resident {
             job: new_job,
-            mask: given.clone(),
+            mask: given,
             malleable: true,
             handle: Some(handle),
             lender: Some(mate),
@@ -234,14 +234,14 @@ impl NodeManager {
                 continue;
             }
             let grown = expand_into(&self.spec, &self.residents[i].mask, &pool, share);
-            let mut taken = grown.clone();
+            let mut taken = grown;
             taken.subtract(&self.residents[i].mask);
             pool.subtract(&taken);
-            self.residents[i].mask = grown.clone();
+            self.residents[i].mask = grown;
             // A job that expanded back to (at least) what it lent is no
             // longer anyone's borrower.
             if let Some(h) = self.residents[i].handle {
-                registry.set_mask(h, grown.clone());
+                registry.set_mask(h, grown);
             }
             updates.push(NodeUpdate {
                 job: self.residents[i].job,
@@ -260,7 +260,7 @@ impl NodeManager {
             .iter()
             .map(|r| ResidentSnapshot {
                 job: r.job,
-                mask: r.mask.clone(),
+                mask: r.mask,
                 malleable: r.malleable,
                 handle: r.handle,
                 lender: r.lender,

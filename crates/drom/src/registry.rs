@@ -9,6 +9,8 @@
 
 use cluster::cpumask::CpuMask;
 use cluster::state::{JobId, NodeId};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Handle identifying a registered process (one job's task group on a node).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,6 +36,30 @@ impl ProcessEntry {
     }
 }
 
+/// Deterministic multiplicative hasher for the handle map's `u64` keys
+/// (sequential handles): one multiply instead of SipHash. The map's
+/// iteration order is never observed, so any hash function serves.
+#[derive(Debug, Default, Clone, Copy)]
+struct HandleHasher(u64);
+
+impl Hasher for HandleHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        // The 64-bit golden-ratio constant spreads consecutive handles over
+        // the high bits the table's control bytes are taken from.
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The registry of all DROM-attached processes (one per node manager in the
 /// real system; global here for test convenience).
 ///
@@ -46,7 +72,7 @@ impl ProcessEntry {
 /// of processes are attached at once.
 #[derive(Debug, Default)]
 pub struct DromRegistry {
-    entries: std::collections::HashMap<u64, ProcessEntry>,
+    entries: HashMap<u64, ProcessEntry, BuildHasherDefault<HandleHasher>>,
     /// Per node: handles in registration order (tiny vectors, 1–3 entries).
     by_node: Vec<Vec<DromHandle>>,
     /// Per node: how many residents have a mask staged. Lets the batched

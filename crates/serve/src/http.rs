@@ -8,7 +8,7 @@
 //! malformed-input corpus drives [`read_request`] directly. Malformed input
 //! is *always* a typed error (mapped to a 4xx by the server), never a panic.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Upper bound on the request line + headers (bytes).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -298,11 +298,19 @@ pub fn read_response(r: &mut impl BufRead) -> Result<(u16, Vec<u8>), HttpError> 
             }
         }
     }
-    if content_length > MAX_BODY_BYTES {
-        return Err(HttpError::TooLarge("response body"));
+    // No cap here: `MAX_BODY_BYTES` guards the server against request
+    // bodies, while a client reads what it asked for (a full-scale
+    // `SimResult` runs to several MiB). The buffer grows with the bytes
+    // that actually arrive, so a bogus length cannot force a huge
+    // allocation up front.
+    let mut body = Vec::new();
+    std::io::Read::by_ref(r)
+        .take(content_length as u64)
+        .read_to_end(&mut body)
+        .map_err(|_| HttpError::Disconnected)?;
+    if body.len() != content_length {
+        return Err(HttpError::Disconnected);
     }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body).map_err(|_| HttpError::Disconnected)?;
     Ok((status, body))
 }
 
@@ -396,6 +404,22 @@ mod tests {
         let (status, body) = read_response(&mut Cursor::new(wire)).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, br#"{"ok":true}"#);
+    }
+
+    #[test]
+    fn client_reads_responses_beyond_the_request_body_cap() {
+        let big = Response {
+            status: 200,
+            content_type: "application/json",
+            body: vec![b'x'; 2 * MAX_BODY_BYTES + 7],
+        };
+        let mut wire = Vec::new();
+        big.write_to(&mut wire, false).unwrap();
+        let (status, body) = read_response(&mut Cursor::new(&wire)).unwrap();
+        assert_eq!((status, body.len()), (200, 2 * MAX_BODY_BYTES + 7));
+        // A body cut short is a disconnect, not a short read.
+        wire.truncate(wire.len() - 1);
+        assert_eq!(read_response(&mut Cursor::new(wire)).unwrap_err(), HttpError::Disconnected);
     }
 
     #[test]

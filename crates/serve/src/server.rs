@@ -306,14 +306,14 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
                 shared.hists.request_seconds.observe(t0.elapsed().as_secs_f64());
                 shared.counters.count_status(resp.status);
                 let is_shutdown = req.method == "POST" && req.path == "/v1/shutdown";
-                if resp.write_to(&mut write_half, close).is_err() {
-                    return;
-                }
+                let written = resp.write_to(&mut write_half, close).is_ok();
                 if is_shutdown && resp.status == 200 {
+                    // The engine has already stopped: finish the shutdown
+                    // even when the client left before the reply landed.
                     finish_shutdown(shared);
                     return;
                 }
-                if close {
+                if !written || close {
                     return;
                 }
             }

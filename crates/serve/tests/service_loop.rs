@@ -345,3 +345,48 @@ fn loadgen_reports_throughput_and_deltas() {
     assert!(rendered.contains("achieved rate"), "{rendered}");
     h.join().unwrap();
 }
+
+/// Full-scale results exceed the 1 MiB request-body cap; the client reads
+/// them whole from both `/v1/result` and `/v1/shutdown`.
+#[test]
+fn client_reads_results_beyond_the_request_body_cap() {
+    let (addr, h) = start(64, false);
+    let mut client = Client::connect(addr).unwrap();
+    let jobs = 8_000;
+    for i in 0..jobs {
+        submit(&mut client, 8, 10, i);
+    }
+    client.drain().unwrap();
+    let res = client.result().unwrap();
+    assert_eq!(res.outcomes.len(), jobs as usize);
+    let encoded = sd_serve::proto::encode_result(&res).render().len();
+    assert!(encoded > sd_serve::http::MAX_BODY_BYTES, "result is only {encoded} bytes");
+    assert_eq!(client.shutdown().unwrap(), res);
+    assert_eq!(h.join().unwrap(), Some(res));
+}
+
+/// A client that hangs up right after posting `/v1/shutdown` makes the
+/// server's reply write fail; the server must stop all the same.
+#[test]
+fn shutdown_finishes_when_the_reply_cannot_be_written() {
+    use std::io::Write as _;
+    let (addr, h) = start(8, false);
+    let mut client = Client::connect(addr).unwrap();
+    for i in 0..300 {
+        submit(&mut client, 8, 10, i);
+    }
+    client.drain().unwrap();
+    drop(client);
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    raw.write_all(b"POST /v1/shutdown HTTP/1.1\r\nhost: x\r\ncontent-length: 0\r\n\r\n")
+        .unwrap();
+    drop(raw);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(h.join().unwrap().map(|r| r.outcomes.len()));
+    });
+    let completed = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the server stopped after the shutdown");
+    assert_eq!(completed, Some(300));
+}

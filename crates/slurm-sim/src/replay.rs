@@ -59,6 +59,14 @@ pub fn infer_cluster(trace: &Trace) -> ClusterSpec {
             (max.div_ceil(16).max(1), 16)
         }
     };
+    // A node holds at most `CpuMask::MAX_CORES` cores: a wider header is
+    // split into more nodes of that width, keeping the machine's core count.
+    let max = cluster::CpuMask::MAX_CORES as u64;
+    let (nodes, cores_per_node) = if cores_per_node > max {
+        ((nodes * cores_per_node).div_ceil(max), max)
+    } else {
+        (nodes, cores_per_node)
+    };
     let mut spec = ClusterSpec::cea_curie();
     spec.name = format!("inferred-{nodes}x{cores_per_node}");
     spec.nodes = nodes as u32;
@@ -99,6 +107,15 @@ mod tests {
             },
         ];
         Trace::new(header, jobs)
+    }
+
+    #[test]
+    fn infer_cluster_splits_nodes_wider_than_a_mask() {
+        let mut header = SwfHeader::new();
+        header.set("MaxNodes", 2);
+        header.set("MaxProcs", 1024);
+        let spec = infer_cluster(&Trace::new(header, Vec::new()));
+        assert_eq!((spec.nodes, spec.node.cores()), (8, 128));
     }
 
     #[test]

@@ -10,6 +10,7 @@ impl SimState {
 
     /// Starts `id` on exclusive whole nodes if enough are free.
     pub fn start_static(&mut self, id: JobId) -> bool {
+        let _t = timing::scope(&timing::STATIC_START);
         let spec = self.job(id).spec.clone();
         debug_assert!(self.job(id).is_pending(), "start of non-pending {id}");
         let Some(nodes) = self.cluster.take_empty_nodes(spec.req_nodes) else {

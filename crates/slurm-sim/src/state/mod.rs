@@ -422,6 +422,7 @@ impl SimState {
     /// way that warrants a scheduling pass. Also records *what* changed in
     /// the [`DirtyFlags`] the controller uses for pass gating.
     pub fn dispatch(&mut self, ev: Event) -> bool {
+        let _t = timing::scope(&timing::EVENT_DISPATCH);
         self.stats.events_dispatched += 1;
         match ev {
             Event::Submit(id) => {

@@ -144,7 +144,7 @@ impl<'a> Reader<'a> {
         for _ in 0..n {
             words.push(self.u64()?);
         }
-        CpuMask::from_words(width, words).ok_or_else(|| "malformed CPU mask".into())
+        CpuMask::from_words(width, &words).ok_or_else(|| "malformed CPU mask".into())
     }
     fn finish(self) -> Result<(), String> {
         if self.pos != self.data.len() {
@@ -978,5 +978,29 @@ mod tests {
         let mut long = bytes.clone();
         long.extend_from_slice(&[0; 3]);
         assert!(try_restore(&long).is_err());
+    }
+
+    /// Pins a mask's checkpoint bytes: width (u32), word count (u64), then
+    /// 64-core words, all little-endian. A change here breaks every
+    /// checkpoint already on disk and needs a `VERSION` bump.
+    #[test]
+    fn cpu_mask_checkpoint_bytes_are_pinned() {
+        let mut m = CpuMask::empty(96);
+        for c in [3, 65, 90] {
+            m.set(c);
+        }
+        let mut w = Writer::default();
+        w.mask(&m);
+        #[rustfmt::skip]
+        let expect: [u8; 28] = [
+            96, 0, 0, 0,
+            2, 0, 0, 0, 0, 0, 0, 0,
+            0x08, 0, 0, 0, 0, 0, 0, 0,
+            0x02, 0, 0, 0x04, 0, 0, 0, 0,
+        ];
+        assert_eq!(w.buf, expect);
+        let mut r = Reader::new(&expect);
+        assert_eq!(r.mask(), Ok(m));
+        r.finish().unwrap();
     }
 }

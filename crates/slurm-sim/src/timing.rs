@@ -108,11 +108,28 @@ pub static SLOT_MERGE: FnTimer = FnTimer::new("slot_merge");
 /// One whole scheduler pass (the controller's `run_pass`) — the root frame
 /// every finer-grained probe nests under.
 pub static SCHED_PASS: FnTimer = FnTimer::new("sched_pass");
+/// SD-Policy mate-pool scans: the candidate filter plus the weight
+/// feasibility pre-check (one per malleable trial that reaches mate
+/// selection).
+pub static MATE_SCAN: FnTimer = FnTimer::new("mate_scan");
+/// Sort, truncation and combination search — only for scans that passed
+/// the pre-check.
+pub static MATE_SELECT: FnTimer = FnTimer::new("mate_select");
+/// Exclusive whole-node starts (`SimState::start_static`): placement, node
+/// launches, release and energy bookkeeping.
+pub static STATIC_START: FnTimer = FnTimer::new("static_start");
+/// One simulation event (`SimState::dispatch`): submits and completions,
+/// outside any scheduler pass.
+pub static EVENT_DISPATCH: FnTimer = FnTimer::new("event_dispatch");
 
-const ALL: [&FnTimer; 8] = [
+const ALL: [&FnTimer; 12] = [
     &SCHED_PASS,
     &EARLIEST_START,
     &BACKFILL_TRIAL,
+    &MATE_SCAN,
+    &MATE_SELECT,
+    &STATIC_START,
+    &EVENT_DISPATCH,
     &QUOTA_CHECK,
     &FAIR_SHARE_SORT,
     &SLOT_DESCEND,
@@ -199,6 +216,10 @@ pub fn stack_frames(name: &str) -> &'static [&'static str] {
         }
         "slot_merge" => &["sd", "sched_pass", "backfill_trial", "earliest_start", "slot_merge"],
         "slot_split" => &["sd", "sched_pass", "backfill_trial", "slot_split"],
+        "mate_scan" => &["sd", "sched_pass", "backfill_trial", "mate_scan"],
+        "mate_select" => &["sd", "sched_pass", "backfill_trial", "mate_select"],
+        "static_start" => &["sd", "sched_pass", "backfill_trial", "static_start"],
+        "event_dispatch" => &["sd", "event_dispatch"],
         _ => &["sd", "other"],
     }
 }
@@ -251,7 +272,7 @@ mod tests {
         }
         drop(scope(&QUOTA_CHECK));
         let rows = report();
-        assert_eq!(rows.len(), 8);
+        assert_eq!(rows.len(), 12);
         let es = rows.iter().find(|r| r.name == "earliest_start").unwrap();
         assert_eq!(es.count, 3);
         let qc = rows.iter().find(|r| r.name == "quota_check").unwrap();
