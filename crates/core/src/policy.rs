@@ -23,7 +23,7 @@ use crate::mates::{MatePool, MateScratch};
 use crate::penalty::malleable_wall_time;
 use cluster::JobId;
 use simkit::SimTime;
-use slurm_sim::{backfill_pass, Availability, DirtyFlags, Scheduler, SimState};
+use slurm_sim::{backfill_pass, DirtyFlags, Profile, Scheduler, SimState};
 
 /// The Slowdown Driven policy.
 #[derive(Debug, Clone)]
@@ -65,12 +65,12 @@ impl SdPolicy {
     /// (trial budget, non-malleable) come first. An infeasible est
     /// (`SimTime::MAX`) bails before the trial budget is charged, exactly
     /// as the old always-computed flow never called the hook for such jobs.
-    fn try_malleable<A: Availability>(
+    fn try_malleable(
         &mut self,
         st: &mut SimState,
         id: JobId,
         est_static_start: Option<SimTime>,
-        profile: &mut A,
+        profile: &mut Profile,
     ) -> bool {
         if self.trials_this_pass >= self.cfg.max_trials_per_pass {
             return false;
@@ -149,7 +149,8 @@ impl Scheduler for SdPolicy {
     fn schedule(&mut self, st: &mut SimState) {
         self.pass_cutoff = None; // refresh DynAVGSD feedback per pass
         self.trials_this_pass = 0;
-        let mut profile = backfill_pass(st, |st, id, est, profile| {
+        let mut profile = st.take_pass_profile();
+        backfill_pass(st, &mut profile, |st, id, est, profile| {
             self.try_malleable(st, id, est, profile)
         });
         // Expand side: idle whole nodes that no pending job is counting on

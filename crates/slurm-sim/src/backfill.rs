@@ -8,8 +8,8 @@
 //! static trial" of each job); finally record a reservation (conservative:
 //! every job; EASY: queue head only).
 
-use crate::avail::{AvailBackend, Availability};
 use crate::config::BackfillMode;
+use crate::reservation::Profile;
 use crate::state::{DirtyFlags, SimState};
 use crate::timing;
 use cluster::JobId;
@@ -55,9 +55,12 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
 /// Outcome of the flexible hook for one job.
 pub type FlexStarted = bool;
 
-/// Runs one backfill pass. `flexible(st, job, est_static_start, profile)`
-/// may start `job` by other means (malleable co-scheduling) and must return
-/// whether it did.
+/// Runs one backfill pass against `profile`, the pass availability (take it
+/// with [`SimState::take_pass_profile`] and hand it back with
+/// [`SimState::recycle_pass_profile`] so the next pass reuses its
+/// allocations). `flexible(st, job, est_static_start, profile)` may start
+/// `job` by other means (malleable co-scheduling) and must return whether
+/// it did.
 ///
 /// `est_static_start` is `Some` when the pass needed the job's earliest
 /// static start anyway (conservative reservations, the EASY head); it is
@@ -67,38 +70,22 @@ pub type FlexStarted = bool;
 /// "never trial an impossible job" accounting). This laziness is what keeps
 /// deep EASY passes (full Curie: `bf_max_job_test = 200`) from paying an
 /// O(profile) walk per examined job; the common case is one O(1)
-/// [`Availability::can_start_now`] probe.
+/// [`Profile::can_start_now`] probe.
 ///
 /// On a `true` return the pass profile must account for the taken idle
 /// nodes: in incremental mode the hook itself applies the in-place
-/// [`Availability::reserve`] delta (shared mate nodes keep their release —
-/// the finish-inside constraint caps the borrower's requested end at the
+/// [`Profile::reserve`] delta (shared mate nodes keep their release — the
+/// finish-inside constraint caps the borrower's requested end at the
 /// mates'); on the legacy path the profile is rebuilt from scratch and the
 /// waiting jobs' reservations are replayed.
 ///
-/// Returns the end-of-pass availability (current starts and the waiting
-/// jobs' reservations applied) so callers can make further
+/// On return `profile` is the end-of-pass availability (current starts and
+/// the waiting jobs' reservations applied), so callers can make further
 /// reservation-respecting decisions — SD-Policy's borrower relocation uses
-/// it to take only nodes no pending job is counting on. Callers should hand
-/// the buffer back via [`SimState::recycle_pass_profile`] so the next pass
-/// reuses its allocations.
-pub fn backfill_pass<F>(st: &mut SimState, flexible: F) -> AvailBackend
+/// it to take only nodes no pending job is counting on.
+pub fn backfill_pass<F>(st: &mut SimState, profile: &mut Profile, mut flexible: F)
 where
-    F: FnMut(&mut SimState, JobId, Option<SimTime>, &mut AvailBackend) -> FlexStarted,
-{
-    let mut profile = st.take_pass_profile();
-    backfill_pass_with(st, &mut profile, flexible);
-    profile
-}
-
-/// The pass skeleton behind [`backfill_pass`], generic over the
-/// [`Availability`] backend: every query/mutation goes through the trait,
-/// so both the step-function profile and the slot tree (and any future
-/// backend) run the byte-for-byte identical decision sequence.
-pub fn backfill_pass_with<A, F>(st: &mut SimState, profile: &mut A, mut flexible: F)
-where
-    A: Availability,
-    F: FnMut(&mut SimState, JobId, Option<SimTime>, &mut A) -> FlexStarted,
+    F: FnMut(&mut SimState, JobId, Option<SimTime>, &mut Profile) -> FlexStarted,
 {
     if st.queue.is_empty() {
         st.stats.peak_profile_len = st.stats.peak_profile_len.max(profile.len());
@@ -132,10 +119,10 @@ where
         }
         let _trial = timing::scope(&timing::BACKFILL_TRIAL);
         if !incremental {
-            // Legacy flow: full est for every examined job. (The est query
-            // itself went through `earliest_start_legacy` until the
-            // `Availability` trait landed; the linear sweep is equivalent —
-            // pinned by the oracle property test in `reservation.rs`.)
+            // Legacy flow: full est for every examined job. The linear
+            // sweep answers exactly like the quadratic
+            // `earliest_start_legacy` — pinned by the oracle property tests
+            // in `reservation.rs`.
             let est = profile.earliest_start(req_nodes, req_time, st.now);
             if est == st.now {
                 if st.start_static(id) {
@@ -152,7 +139,7 @@ where
                 continue;
             }
             if est > st.now && est != SimTime::MAX && flexible(st, id, Some(est), profile) {
-                profile.rebuild(st.now, st.cluster.empty_node_count(), st.releases());
+                *profile = st.build_profile();
                 for &(s, d, n) in &waiting_resv {
                     profile.reserve(s, d, n);
                 }
@@ -248,7 +235,8 @@ pub struct StaticBackfill;
 
 impl Scheduler for StaticBackfill {
     fn schedule(&mut self, st: &mut SimState) {
-        let profile = backfill_pass(st, |_, _, _: Option<SimTime>, _| false);
+        let mut profile = st.take_pass_profile();
+        backfill_pass(st, &mut profile, |_, _, _, _| false);
         st.recycle_pass_profile(profile);
     }
 
@@ -446,10 +434,12 @@ mod tests {
                 st.now = t;
                 st.dispatch(ev.payload);
             }
-            backfill_pass(&mut st, |_st, id, est, _p| {
+            let mut profile = st.take_pass_profile();
+            backfill_pass(&mut st, &mut profile, |_st, id, est, _p| {
                 seen.push((id, est));
                 false
             });
+            st.recycle_pass_profile(profile);
         }
         assert!(
             seen.contains(&(JobId(2), Some(SimTime(1000)))),

@@ -164,12 +164,6 @@ impl Profile {
         self.times[0]
     }
 
-    /// The raw `(times, free)` slot arrays — read-only view for backends
-    /// that index the canonical slot list (see `slot_tree`).
-    pub(crate) fn steps(&self) -> (&[SimTime], &[i64]) {
-        (&self.times, &self.free)
-    }
-
     /// Free nodes at instant `t` (clamped to the profile's domain).
     pub fn free_at(&self, t: SimTime) -> i64 {
         match self.times.binary_search(&t) {
@@ -276,10 +270,9 @@ impl Profile {
     }
 
     /// The original candidate-probing `earliest_start` (`O(len²)` worst
-    /// case). Dead on the hot path since the `Availability` trait landed —
-    /// every backend answers through its own `earliest_start` — so it
-    /// survives only as the oracle for the equivalence property test
-    /// below.
+    /// case): it probes every candidate with [`Profile::min_free_in`], so it
+    /// is obviously correct but too slow for the hot path. It is kept only
+    /// as the oracle for the property tests below.
     #[cfg(test)]
     fn earliest_start_legacy(&self, nodes: u32, duration: u64, after: SimTime) -> SimTime {
         let need = nodes as i64;
@@ -661,6 +654,57 @@ mod tests {
                 p.earliest_start_legacy(nodes, duration, SimTime(after)),
                 "sweep and probe disagree on {:?}", p
             );
+        }
+
+        /// The cached profile's whole mutation surface — reservations,
+        /// release patches, origin advances and compaction, in any order —
+        /// keeps both queries exact: after every op `earliest_start` agrees
+        /// with the oracle, and `can_start_now` is precisely
+        /// `earliest_start(..) == now`. Patches carry raw `(old, new)`
+        /// transitions, applied as the same ±count deltas whether or not a
+        /// real release map could produce them.
+        #[test]
+        fn mutation_stream_queries_match_oracle(
+            free in 1u32..24,
+            ops in proptest::collection::vec(
+                (0u8..4, 0u64..600, 0u64..600, 1u32..6),
+                1..40,
+            ),
+            queries in proptest::collection::vec((1u32..12, 1u64..500, 0u64..700), 1..12),
+        ) {
+            let mut p = Profile::flat(SimTime::ZERO, free);
+            let mut now = SimTime::ZERO;
+            for &(kind, a, b, n) in &ops {
+                match kind {
+                    0 => p.reserve(now.after(a % 400), 1 + b % 300, n),
+                    // A multiple of 4 stands in for `None` (node empty).
+                    1 => p.patch_release_many(
+                        now,
+                        (a % 4 != 0).then_some(SimTime(a)),
+                        (b % 4 != 0).then_some(SimTime(b)),
+                        n.min(3),
+                    ),
+                    2 => {
+                        now = now.after(1 + a % 120); // time only moves forward
+                        p.advance_to(now);
+                    }
+                    _ => p.compact(),
+                }
+                for &(nodes, duration, after_dt) in &queries {
+                    let after = now.after(after_dt);
+                    proptest::prop_assert_eq!(
+                        p.earliest_start(nodes, duration, after),
+                        p.earliest_start_legacy(nodes, duration, after),
+                        "earliest_start({}, {}, {:?}) after op {:?} on {:?}",
+                        nodes, duration, after, (kind, a, b, n), p
+                    );
+                    proptest::prop_assert_eq!(
+                        p.can_start_now(nodes, duration, now),
+                        p.earliest_start(nodes, duration, now) == now,
+                        "can_start_now({}, {}) at {:?} on {:?}", nodes, duration, now, p
+                    );
+                }
+            }
         }
     }
 }

@@ -15,7 +15,6 @@
 //! given, and this module owns what those bytes mean.
 
 use super::*;
-use crate::avail::AvailBackendKind;
 use cluster::cpumask::CpuMask;
 use cluster::NodeOccupancy;
 use drom::node::ResidentSnapshot;
@@ -24,7 +23,7 @@ use drom::DromHandle;
 use workload::AppId;
 
 const MAGIC: u32 = 0x5344_5353; // "SDSS"
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 // ----------------------------------------------------------------------
 // Byte codec
@@ -194,10 +193,6 @@ impl SimState {
         w.u32(self.spec.nodes);
         w.u32(self.spec.node.cores());
         w.bool(self.cfg.incremental);
-        w.u8(match self.cfg.avail_backend {
-            AvailBackendKind::Profile => 0,
-            AvailBackendKind::SlotTree => 1,
-        });
         w.u32(self.cfg.tenants.len() as u32);
 
         w.time(self.now);
@@ -449,18 +444,6 @@ impl SimState {
             return Err(format!(
                 "checkpoint was taken with incremental={incremental}, config says {}",
                 cfg.incremental
-            ));
-        }
-        let backend = match r.u8()? {
-            0 => AvailBackendKind::Profile,
-            1 => AvailBackendKind::SlotTree,
-            b => return Err(format!("unknown availability backend tag {b}")),
-        };
-        if backend != cfg.avail_backend {
-            return Err(format!(
-                "checkpoint was taken with the {} backend, config says {}",
-                backend.label(),
-                cfg.avail_backend.label()
             ));
         }
         let tenant_count = r.u32()? as usize;
@@ -778,10 +761,7 @@ impl SimState {
         // Availability cache: rebuilt canonically at `now` — equal (by the
         // incremental-maintenance invariant) to the advanced cache the
         // uninterrupted run would hold.
-        let free_now = st.cluster.empty_node_count();
-        let mut avail = AvailBackend::new(st.cfg.avail_backend);
-        avail.rebuild(st.now, free_now, &st.releases);
-        st.avail = avail;
+        st.avail = st.build_profile();
         st.scratch = PassScratch::default();
 
         // The meter was constructed by `new_online` with a fresh start; the
@@ -803,11 +783,10 @@ mod tests {
         spec
     }
 
-    fn cfg(incremental: bool, backend: AvailBackendKind) -> SlurmConfig {
+    fn cfg(incremental: bool) -> SlurmConfig {
         SlurmConfig {
             self_check: true,
             incremental,
-            avail_backend: backend,
             ..SlurmConfig::default()
         }
     }
@@ -816,10 +795,10 @@ mod tests {
         swf::SwfJob::for_simulation(id, submit, run, nodes * 8, req)
     }
 
-    fn mid_run_state(incremental: bool, backend: AvailBackendKind) -> SimState {
+    fn mid_run_state(incremental: bool) -> SimState {
         let mut st = SimState::new_online(
             spec4(),
-            cfg(incremental, backend),
+            cfg(incremental),
             Box::new(WorstCaseModel),
             SharingFactor::HALF,
         );
@@ -877,12 +856,8 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_and_validates() {
-        for (inc, backend) in [
-            (false, AvailBackendKind::Profile),
-            (true, AvailBackendKind::Profile),
-            (true, AvailBackendKind::SlotTree),
-        ] {
-            let st = mid_run_state(inc, backend);
+        for inc in [false, true] {
+            let st = mid_run_state(inc);
             let re = roundtrip(&st);
             re.deep_validate().expect("restored state valid");
             assert_eq!(re.now, st.now);
@@ -898,22 +873,17 @@ mod tests {
 
     #[test]
     fn restored_run_finishes_identically() {
-        for (inc, backend) in [
-            (false, AvailBackendKind::Profile),
-            (true, AvailBackendKind::Profile),
-            (false, AvailBackendKind::SlotTree),
-            (true, AvailBackendKind::SlotTree),
-        ] {
-            let st = mid_run_state(inc, backend);
+        for inc in [false, true] {
+            let st = mid_run_state(inc);
             let re = roundtrip(&st);
             let (out_a, stats_a, joules_a, last_a) = run_to_end(st);
             let (out_b, stats_b, joules_b, last_b) = run_to_end(re);
-            assert_eq!(out_a, out_b, "outcomes diverged ({inc}, {backend:?})");
-            assert_eq!(stats_a, stats_b, "stats diverged ({inc}, {backend:?})");
+            assert_eq!(out_a, out_b, "outcomes diverged (incremental={inc})");
+            assert_eq!(stats_a, stats_b, "stats diverged (incremental={inc})");
             assert_eq!(
                 joules_a.to_bits(),
                 joules_b.to_bits(),
-                "energy diverged ({inc}, {backend:?})"
+                "energy diverged (incremental={inc})"
             );
             assert_eq!(last_a, last_b);
         }
@@ -921,7 +891,7 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatches_are_rejected() {
-        let st = mid_run_state(true, AvailBackendKind::Profile);
+        let st = mid_run_state(true);
         let bytes = st.checkpoint_bytes();
         // Wrong machine size.
         let mut big = spec4();
@@ -938,33 +908,42 @@ mod tests {
         // Wrong hot-path setting.
         let err = SimState::restore(
             spec4(),
-            cfg(false, AvailBackendKind::Profile),
+            cfg(false),
             Box::new(WorstCaseModel),
             st.sharing(),
             &bytes,
         )
         .err().unwrap();
         assert!(err.contains("incremental"), "{err}");
-        // Wrong backend.
+    }
+
+    /// Version 1 images carried an availability-backend tag in the
+    /// fingerprint; version 2 dropped it, so a version-1 image must be
+    /// refused up front rather than misread.
+    #[test]
+    fn version_1_images_are_rejected() {
+        let st = mid_run_state(true);
+        let mut bytes = st.checkpoint_bytes();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
         let err = SimState::restore(
             spec4(),
-            cfg(true, AvailBackendKind::SlotTree),
+            cfg(true),
             Box::new(WorstCaseModel),
             st.sharing(),
             &bytes,
         )
         .err().unwrap();
-        assert!(err.contains("backend"), "{err}");
+        assert!(err.contains("version 1"), "{err}");
     }
 
     #[test]
     fn corrupt_or_truncated_bytes_error_cleanly() {
-        let st = mid_run_state(true, AvailBackendKind::Profile);
+        let st = mid_run_state(true);
         let bytes = st.checkpoint_bytes();
         let try_restore = |data: &[u8]| {
             SimState::restore(
                 spec4(),
-                cfg(true, AvailBackendKind::Profile),
+                cfg(true),
                 Box::new(WorstCaseModel),
                 SharingFactor::HALF,
                 data,

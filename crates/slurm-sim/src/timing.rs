@@ -4,10 +4,9 @@
 //! cheap global counter + wall-time accumulator, always compiled in but dormant
 //! until enabled (one relaxed atomic load per probe when off). Enable with
 //! [`enable`] or the `SD_TIMING` environment variable; `run_scenario
-//! --timing` prints the report. This is the "measure before choosing the
-//! tree" groundwork for the slot-tree roadmap item: it attributes a pass's
-//! wall time to `earliest_start`, the backfill trials and the quota checks
-//! instead of one opaque total.
+//! --timing` prints the report. It attributes a pass's wall time to
+//! `earliest_start`, the backfill trials, mate selection and the quota
+//! checks instead of one opaque total.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
@@ -86,8 +85,8 @@ impl FnTimer {
     }
 }
 
-/// `earliest_start` probes (both the legacy profile walk and the
-/// incremental linear sweep).
+/// `Profile::earliest_start` queries (the linear sweep both hot paths
+/// share).
 pub static EARLIEST_START: FnTimer = FnTimer::new("earliest_start");
 /// One per pending job examined by a backfill pass (static trial +
 /// flexible/malleable fallback together).
@@ -96,15 +95,6 @@ pub static BACKFILL_TRIAL: FnTimer = FnTimer::new("backfill_trial");
 pub static QUOTA_CHECK: FnTimer = FnTimer::new("quota_check");
 /// Fair-share prefix reorders (decay + stable sort).
 pub static FAIR_SHARE_SORT: FnTimer = FnTimer::new("fair_share_sort");
-/// Slot-tree annotation descends (one per phase-A/phase-B jump inside a
-/// `SlotTree::earliest_start` query).
-pub static SLOT_DESCEND: FnTimer = FnTimer::new("slot_descend");
-/// Slot-tree slot splits: reservation writes and release patches against
-/// the slot list (each marks the annotation tree stale).
-pub static SLOT_SPLIT: FnTimer = FnTimer::new("slot_split");
-/// Slot-tree annotation re-merges (the lazy O(n) bottom-up rebuild the
-/// first query after a mutation pays).
-pub static SLOT_MERGE: FnTimer = FnTimer::new("slot_merge");
 /// One whole scheduler pass (the controller's `run_pass`) — the root frame
 /// every finer-grained probe nests under.
 pub static SCHED_PASS: FnTimer = FnTimer::new("sched_pass");
@@ -122,7 +112,7 @@ pub static STATIC_START: FnTimer = FnTimer::new("static_start");
 /// outside any scheduler pass.
 pub static EVENT_DISPATCH: FnTimer = FnTimer::new("event_dispatch");
 
-const ALL: [&FnTimer; 12] = [
+const ALL: [&FnTimer; 9] = [
     &SCHED_PASS,
     &EARLIEST_START,
     &BACKFILL_TRIAL,
@@ -132,9 +122,6 @@ const ALL: [&FnTimer; 12] = [
     &EVENT_DISPATCH,
     &QUOTA_CHECK,
     &FAIR_SHARE_SORT,
-    &SLOT_DESCEND,
-    &SLOT_SPLIT,
-    &SLOT_MERGE,
 ];
 
 /// RAII probe: measures from construction to drop when timing is enabled,
@@ -201,9 +188,9 @@ pub fn delta(before: &[FnTiming], after: &[FnTiming]) -> Vec<FnTiming> {
 /// The nominal call hierarchy of each probe, root-first, for
 /// collapsed-stack export. "Nominal" because probes measure inclusive wall
 /// time wherever they fire: `earliest_start` also runs outside backfill
-/// trials and `slot_split` also fires on release patches, but attributing
-/// each probe to its dominant caller keeps the flamegraph honest for the
-/// hot path that matters (the ROADMAP's `backfill_trial` wall).
+/// trials, but attributing each probe to its dominant caller keeps the
+/// flamegraph honest for the hot path that matters (the `backfill_trial`
+/// wall).
 pub fn stack_frames(name: &str) -> &'static [&'static str] {
     match name {
         "sched_pass" => &["sd", "sched_pass"],
@@ -211,11 +198,6 @@ pub fn stack_frames(name: &str) -> &'static [&'static str] {
         "quota_check" => &["sd", "sched_pass", "quota_check"],
         "backfill_trial" => &["sd", "sched_pass", "backfill_trial"],
         "earliest_start" => &["sd", "sched_pass", "backfill_trial", "earliest_start"],
-        "slot_descend" => {
-            &["sd", "sched_pass", "backfill_trial", "earliest_start", "slot_descend"]
-        }
-        "slot_merge" => &["sd", "sched_pass", "backfill_trial", "earliest_start", "slot_merge"],
-        "slot_split" => &["sd", "sched_pass", "backfill_trial", "slot_split"],
         "mate_scan" => &["sd", "sched_pass", "backfill_trial", "mate_scan"],
         "mate_select" => &["sd", "sched_pass", "backfill_trial", "mate_select"],
         "static_start" => &["sd", "sched_pass", "backfill_trial", "static_start"],
@@ -272,7 +254,7 @@ mod tests {
         }
         drop(scope(&QUOTA_CHECK));
         let rows = report();
-        assert_eq!(rows.len(), 12);
+        assert_eq!(rows.len(), 9);
         let es = rows.iter().find(|r| r.name == "earliest_start").unwrap();
         assert_eq!(es.count, 3);
         let qc = rows.iter().find(|r| r.name == "quota_check").unwrap();
