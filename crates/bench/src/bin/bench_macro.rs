@@ -1,6 +1,5 @@
-//! Macro-benchmark driver: times end-to-end W3/W4 scheduler runs on both
-//! hot paths (legacy rebuild-everything vs incremental cached/indexed/gated)
-//! and writes the perf trajectory to `BENCH_<rev>.json`.
+//! Macro-benchmark driver: times end-to-end W3/W4 scheduler runs and writes
+//! the perf trajectory to `BENCH_<rev>.json`.
 //!
 //! ```sh
 //! cargo run --release --bin bench_macro                      # CI panel
@@ -8,10 +7,9 @@
 //! cargo run --release --bin bench_macro -- --check BENCH_baseline.json
 //! ```
 //!
-//! `--check` exits 1 if any entry's incremental wall time regresses more
-//! than the tolerance (default 25 %) over the committed baseline; the
-//! machine-independent `--min-speedup` gate checks the legacy/incremental
-//! ratio instead.
+//! `--check` exits 1 if any entry's wall time regresses more than the
+//! tolerance (default 25 %) over the committed baseline, normalised for
+//! machine speed.
 
 use sd_bench::macrobench::{check_regressions, measure, panel, parse_check_map, render_json};
 use sd_bench::{CliArgs, CliError, USAGE};
@@ -19,11 +17,10 @@ use sched_metrics::Table;
 
 const EXTRA_USAGE: &str = "bench_macro — timed macro-benchmark of the scheduler hot path
 
-  --iters <n>          repetitions per entry and mode (default 3)
+  --iters <n>          repetitions per entry (default 3)
   --rev <label>        revision label for the output file (default: git HEAD)
   --check <file>       fail (exit 1) on >tolerance wall regression vs file
   --tolerance <pct>    regression tolerance percentage (default 25)
-  --min-speedup <x>    fail if any sd-policy entry speeds up less than x
 ";
 
 fn fail(msg: &str) -> ! {
@@ -36,7 +33,6 @@ struct BenchCli {
     rev: Option<String>,
     check: Option<String>,
     tolerance: f64,
-    min_speedup: Option<f64>,
     common: CliArgs,
 }
 
@@ -45,7 +41,6 @@ fn parse_cli() -> BenchCli {
     let mut rev = None;
     let mut check = None;
     let mut tolerance = 25.0;
-    let mut min_speedup = None;
     let mut rest = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -66,13 +61,6 @@ fn parse_cli() -> BenchCli {
                     .parse()
                     .unwrap_or_else(|_| fail("bad --tolerance"));
             }
-            "--min-speedup" => {
-                min_speedup = Some(
-                    value("--min-speedup")
-                        .parse()
-                        .unwrap_or_else(|_| fail("bad --min-speedup")),
-                );
-            }
             _ => rest.push(a),
         }
     }
@@ -90,7 +78,6 @@ fn parse_cli() -> BenchCli {
         rev,
         check,
         tolerance,
-        min_speedup,
         common,
     }
 }
@@ -112,7 +99,7 @@ fn main() {
     let entries = panel(cli.common.full);
 
     eprintln!(
-        "bench_macro: {} entries × {} iters × 2 modes (rev {rev})",
+        "bench_macro: {} entries × {} iters (rev {rev})",
         entries.len(),
         cli.iters
     );
@@ -120,32 +107,24 @@ fn main() {
     for e in &entries {
         eprint!("  {} …", e.name);
         let r = measure(e, cli.iters);
-        eprintln!(
-            " legacy {:.3}s → incremental {:.3}s ({:.2}×{})",
-            r.legacy.sim_s_min,
-            r.incremental.sim_s_min,
-            r.speedup,
-            if r.results_match { "" } else { ", RESULTS DIVERGED" },
-        );
+        eprintln!(" {:.3}s", r.timing.sim_s_min);
         results.push(r);
     }
 
     let mut t = Table::new(&[
-        "entry", "jobs", "events", "passes", "skipped", "peak-prof", "legacy(s)",
-        "incr(s)", "speedup", "match",
+        "entry", "jobs", "events", "passes", "skipped", "peak-prof", "min(s)", "mean(s)",
     ]);
     for r in &results {
+        let m = &r.timing;
         t.row(vec![
             r.entry.name.clone(),
             format!("{}", r.jobs),
-            format!("{}", r.incremental.events),
-            format!("{}", r.incremental.sched_passes),
-            format!("{}", r.incremental.passes_skipped),
-            format!("{}", r.incremental.peak_profile_len),
-            format!("{:.3}", r.legacy.sim_s_min),
-            format!("{:.3}", r.incremental.sim_s_min),
-            format!("{:.2}", r.speedup),
-            format!("{}", r.results_match),
+            format!("{}", m.events),
+            format!("{}", m.sched_passes),
+            format!("{}", m.passes_skipped),
+            format!("{}", m.peak_profile_len),
+            format!("{:.3}", m.sim_s_min),
+            format!("{:.3}", m.sim_s_mean),
         ]);
     }
     println!("{}", t.render());
@@ -160,21 +139,6 @@ fn main() {
     eprintln!("wrote {out}");
 
     let mut failed = false;
-    if results.iter().any(|r| !r.results_match) {
-        eprintln!("FAIL: legacy and incremental paths diverged");
-        failed = true;
-    }
-    if let Some(min) = cli.min_speedup {
-        for r in results.iter().filter(|r| r.entry.name.contains("sd")) {
-            if r.speedup < min {
-                eprintln!(
-                    "FAIL: {} speedup {:.2}× below required {min}×",
-                    r.entry.name, r.speedup
-                );
-                failed = true;
-            }
-        }
-    }
     if let Some(path) = &cli.check {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));

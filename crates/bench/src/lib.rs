@@ -10,8 +10,7 @@
 //! * [`validate`] — the paper-expectations harness behind the
 //!   `sd_validate` binary (machine-checkable claims vs the static baseline),
 //! * [`macrobench`] — the timed end-to-end panel behind the `bench_macro`
-//!   binary (`BENCH_<rev>.json` perf trajectory, legacy-vs-incremental A/B,
-//!   CI regression gate).
+//!   binary (`BENCH_<rev>.json` perf trajectory, CI regression gate).
 //!
 //! Every binary prints the paper's rows/series next to the measured values
 //! so EXPERIMENTS.md can record paper-vs-measured directly. The

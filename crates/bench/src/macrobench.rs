@@ -1,13 +1,8 @@
 //! Macro-benchmark: timed end-to-end simulator runs (`bench_macro` binary).
 //!
-//! The criterion microbenches cover isolated kernels; this module times what
-//! the ISSUE-4 refactor actually optimises — whole scheduler runs — and
-//! records the perf trajectory in `BENCH_<rev>.json` files. Every panel
-//! entry is executed on both hot paths (`incremental = false`, the seed
-//! rebuild-everything behaviour, and `incremental = true`, the cached /
-//! indexed / gated path), which yields a machine-independent speedup ratio
-//! next to the absolute wall times, and doubles as an equivalence check:
-//! both paths must produce identical outcomes.
+//! Times whole scheduler runs (state construction plus the controller loop)
+//! and records the perf trajectory in `BENCH_<rev>.json` files, one timing
+//! block per panel entry next to the machine-independent work counters.
 //!
 //! Wall times are measured on whatever machine runs the benchmark, so the
 //! JSON is a diagnostic artifact, not a deterministic export. The
@@ -21,7 +16,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use workload::PaperWorkload;
 
-/// One panel entry: a named configuration timed on both hot paths.
+/// One panel entry: a named, timed configuration.
 #[derive(Debug, Clone)]
 pub struct BenchEntry {
     /// Stable name used as the regression-gate key (`W3 sd ci`, …).
@@ -32,9 +27,9 @@ pub struct BenchEntry {
     pub seed: u64,
 }
 
-/// Timing of one mode (legacy or incremental) over `iters` repetitions.
+/// Timing of one entry over `iters` repetitions, plus its work counters.
 #[derive(Debug, Clone)]
-pub struct ModeTiming {
+pub struct Timing {
     pub sim_s_min: f64,
     pub sim_s_mean: f64,
     pub sched_passes: u64,
@@ -51,12 +46,7 @@ pub struct BenchResult {
     pub makespan: u64,
     pub mean_slowdown: f64,
     pub malleable_started: u64,
-    pub legacy: ModeTiming,
-    pub incremental: ModeTiming,
-    /// `legacy.sim_s_min / incremental.sim_s_min`.
-    pub speedup: f64,
-    /// Outcomes, makespan and energy identical across the two paths.
-    pub results_match: bool,
+    pub timing: Timing,
 }
 
 /// The standard panel: W3/W4 under SD-Policy and the static baseline at
@@ -90,15 +80,13 @@ pub fn panel(full: bool) -> Vec<BenchEntry> {
 }
 
 /// Runs the simulation once against a pre-generated trace; only state
-/// construction and the controller loop are inside the timer, so the
-/// legacy/incremental ratio measures the scheduler hot path, not the
-/// (identical) workload generation.
-fn run_once(entry: &BenchEntry, trace: &swf::Trace, incremental: bool) -> (f64, SimResult) {
+/// construction and the controller loop are inside the timer, so the wall
+/// time measures the scheduler hot path, not workload generation.
+fn run_once(entry: &BenchEntry, trace: &swf::Trace) -> (f64, SimResult) {
     let cfg = RunConfig::new(entry.workload, entry.policy)
         .with_scale(entry.scale)
         .with_seed(entry.seed);
-    let mut slurm = cfg.slurm_config();
-    slurm.incremental = incremental;
+    let slurm = cfg.slurm_config();
     let model = cfg.model.instantiate();
     let spec = entry.workload.cluster(entry.scale);
     let t0 = Instant::now();
@@ -116,50 +104,32 @@ fn run_once(entry: &BenchEntry, trace: &swf::Trace, incremental: bool) -> (f64, 
     (t0.elapsed().as_secs_f64(), res)
 }
 
-fn mode_timing(times: &[f64], res: &SimResult) -> ModeTiming {
-    let min = times.iter().copied().fold(f64::INFINITY, f64::min);
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
-    ModeTiming {
-        sim_s_min: min,
-        sim_s_mean: mean,
-        sched_passes: res.stats.sched_passes,
-        passes_skipped: res.stats.passes_skipped,
-        events: res.stats.events_dispatched,
-        peak_profile_len: res.stats.peak_profile_len,
-    }
-}
-
-/// Measures one entry on both paths. The two modes alternate within each of
-/// the `iters` repetitions so slow drift in machine speed (thermal, noisy
-/// neighbours) cancels out of the speedup ratio; min and mean are reported.
+/// Measures one entry over `iters` repetitions; min and mean wall times are
+/// reported. The counters are deterministic, so they come from the last run.
 pub fn measure(entry: &BenchEntry, iters: usize) -> BenchResult {
     let trace = entry.workload.generate(entry.seed, entry.scale);
-    let mut legacy_times = Vec::with_capacity(iters);
-    let mut incr_times = Vec::with_capacity(iters);
-    let mut pair = None;
+    let mut times = Vec::with_capacity(iters);
+    let mut last = None;
     for _ in 0..iters.max(1) {
-        let (s, lr) = run_once(entry, &trace, false);
-        legacy_times.push(s);
-        let (s, ir) = run_once(entry, &trace, true);
-        incr_times.push(s);
-        pair = Some((lr, ir));
+        let (s, res) = run_once(entry, &trace);
+        times.push(s);
+        last = Some(res);
     }
-    let (legacy_res, incr_res) = pair.expect("at least one iteration");
-    let legacy = mode_timing(&legacy_times, &legacy_res);
-    let incremental = mode_timing(&incr_times, &incr_res);
-    let results_match = legacy_res.outcomes == incr_res.outcomes
-        && legacy_res.makespan == incr_res.makespan
-        && legacy_res.energy_joules == incr_res.energy_joules;
+    let res = last.expect("at least one iteration");
     BenchResult {
         entry: entry.clone(),
-        jobs: incr_res.outcomes.len(),
-        makespan: incr_res.makespan,
-        mean_slowdown: incr_res.mean_slowdown(),
-        malleable_started: incr_res.stats.started_malleable,
-        speedup: legacy.sim_s_min / incremental.sim_s_min.max(1e-9),
-        legacy,
-        incremental,
-        results_match,
+        jobs: res.outcomes.len(),
+        makespan: res.makespan,
+        mean_slowdown: res.mean_slowdown(),
+        malleable_started: res.stats.started_malleable,
+        timing: Timing {
+            sim_s_min: times.iter().copied().fold(f64::INFINITY, f64::min),
+            sim_s_mean: times.iter().sum::<f64>() / times.len() as f64,
+            sched_passes: res.stats.sched_passes,
+            passes_skipped: res.stats.passes_skipped,
+            events: res.stats.events_dispatched,
+            peak_profile_len: res.stats.peak_profile_len,
+        },
     }
 }
 
@@ -167,7 +137,7 @@ fn fmt_secs(v: f64) -> String {
     format!("{v:.4}")
 }
 
-fn mode_json(m: &ModeTiming) -> String {
+fn timing_json(m: &Timing) -> String {
     format!(
         "{{\"sim_s_min\": {}, \"sim_s_mean\": {}, \"sched_passes\": {}, \
          \"passes_skipped\": {}, \"events\": {}, \"peak_profile_len\": {}}}",
@@ -192,9 +162,8 @@ pub fn render_json(rev: &str, iters: usize, results: &[BenchResult]) -> String {
             out,
             "    {{\"name\": \"{}\", \"workload\": \"{}\", \"policy\": \"{}\", \
              \"scale\": {}, \"seed\": {}, \"jobs\": {}, \
-             \"makespan\": {}, \"mean_slowdown\": {:.4}, \"malleable_started\": {}, \
-             \"results_match\": {}, \"speedup\": {:.2},\n     \"legacy\": {},\n     \
-             \"incremental\": {}}}",
+             \"makespan\": {}, \"mean_slowdown\": {:.4}, \"malleable_started\": {},\n     \
+             \"timing\": {}}}",
             r.entry.name,
             r.entry.workload.short(),
             r.entry.policy.label(),
@@ -204,10 +173,7 @@ pub fn render_json(rev: &str, iters: usize, results: &[BenchResult]) -> String {
             r.makespan,
             r.mean_slowdown,
             r.malleable_started,
-            r.results_match,
-            r.speedup,
-            mode_json(&r.legacy),
-            mode_json(&r.incremental),
+            timing_json(&r.timing),
         );
         let _ = writeln!(out, "{}", if i + 1 < results.len() { "," } else { "" });
     }
@@ -219,7 +185,7 @@ pub fn render_json(rev: &str, iters: usize, results: &[BenchResult]) -> String {
             out,
             "    \"{}\": {}{}",
             r.entry.name,
-            fmt_secs(r.incremental.sim_s_min),
+            fmt_secs(r.timing.sim_s_min),
             if i + 1 < results.len() { "," } else { "" }
         );
     }
@@ -262,10 +228,9 @@ pub fn parse_check_map(payload: &str) -> Vec<(String, f64)> {
 /// median, so a uniformly slower (or faster) machine — a shared CI runner
 /// vs the laptop that produced the baseline — cancels out, while a single
 /// entry regressing relative to the others still exceeds `tolerance`.
-/// Uniform algorithmic regressions are the `--min-speedup` gate's job (the
-/// legacy/incremental ratio is measured on one machine and needs no
-/// baseline). Returns the regressions as human-readable lines (empty =
-/// pass).
+/// A uniform algorithmic regression is not caught here; the
+/// machine-independent work counters in the JSON (passes, events) show it.
+/// Returns the regressions as human-readable lines (empty = pass).
 pub fn check_regressions(
     results: &[BenchResult],
     baseline: &[(String, f64)],
@@ -287,7 +252,7 @@ pub fn check_regressions(
     for (i, r) in results.iter().enumerate() {
         if let Some((_, base)) = baseline.iter().find(|(k, _)| *k == r.entry.name) {
             if *base > 0.0 {
-                ratios.push((i, *base, r.incremental.sim_s_min / base));
+                ratios.push((i, *base, r.timing.sim_s_min / base));
             }
         }
     }
@@ -308,7 +273,7 @@ pub fn check_regressions(
                 "{}: {:.4}s is {:.2}× its baseline {:.4}s — more than {:.0}% over this \
                  machine's median factor {:.2}×",
                 r.entry.name,
-                r.incremental.sim_s_min,
+                r.timing.sim_s_min,
                 ratio,
                 base,
                 tolerance * 100.0,
@@ -337,8 +302,7 @@ mod tests {
     }
 
     #[test]
-    fn measure_reports_matching_modes_on_tiny_run() {
-        // A very small W3 run: both paths must agree bit-for-bit.
+    fn measure_reports_sane_timing_on_tiny_run() {
         let entry = BenchEntry {
             name: "tiny".into(),
             workload: PaperWorkload::W3Ricc,
@@ -346,13 +310,28 @@ mod tests {
             scale: 0.02,
             seed: 7,
         };
-        let r = measure(&entry, 1);
-        assert!(r.results_match, "legacy and incremental paths diverged");
+        let r = measure(&entry, 2);
         assert!(r.jobs > 0);
-        assert!(r.incremental.sim_s_min > 0.0);
-        assert_eq!(r.incremental.sched_passes + r.incremental.passes_skipped,
-                   r.legacy.sched_passes, "gating only skips, never adds");
-        assert!(r.incremental.peak_profile_len > 0);
+        assert!(r.makespan > 0);
+        let t = &r.timing;
+        assert!(t.sim_s_min > 0.0 && t.sim_s_min <= t.sim_s_mean);
+        assert!(t.sched_passes > 0 && t.events > 0);
+        assert!(t.peak_profile_len > 0);
+    }
+
+    /// The committed baselines stay readable by `--check`: the CI file in
+    /// the one-mode format, and the nightly full-panel file in the older
+    /// two-mode format (same flat `check_sim_s` map).
+    #[test]
+    fn committed_baselines_parse() {
+        let keys = |payload: &str| -> Vec<String> {
+            parse_check_map(payload).into_iter().map(|(k, _)| k).collect()
+        };
+        let names = |full: bool| -> Vec<String> {
+            panel(full).into_iter().map(|e| e.name).collect()
+        };
+        assert_eq!(keys(include_str!("../../../BENCH_baseline.json")), names(false));
+        assert_eq!(keys(include_str!("../../../BENCH_pr5-full.json")), names(true));
     }
 
     #[test]
@@ -364,7 +343,7 @@ mod tests {
             scale: 0.02,
             seed: 1,
         };
-        let timing = ModeTiming {
+        let timing = Timing {
             sim_s_min: 0.1234,
             sim_s_mean: 0.2,
             sched_passes: 10,
@@ -378,14 +357,11 @@ mod tests {
             makespan: 100,
             mean_slowdown: 1.5,
             malleable_started: 0,
-            legacy: timing.clone(),
-            incremental: timing,
-            speedup: 1.0,
-            results_match: true,
+            timing,
         };
         let mut other = res.clone();
         other.entry.name = "W3 static ci".into();
-        other.incremental.sim_s_min = 0.05;
+        other.timing.sim_s_min = 0.05;
         let both = vec![res.clone(), other.clone()];
         let json = render_json("abc123", 3, &both);
         assert!(json.contains("\"rev\": \"abc123\""));
@@ -405,7 +381,7 @@ mod tests {
             .iter()
             .cloned()
             .map(|mut r| {
-                r.incremental.sim_s_min *= 2.0;
+                r.timing.sim_s_min *= 2.0;
                 r
             })
             .collect();
@@ -415,7 +391,7 @@ mod tests {
         );
         // …but one entry regressing relative to the others fails.
         let mut one_bad = both.clone();
-        one_bad[0].incremental.sim_s_min = 0.2;
+        one_bad[0].timing.sim_s_min = 0.2;
         let bad = check_regressions(&one_bad, &map, 0.25);
         assert_eq!(bad.len(), 1);
         assert!(bad[0].contains("W3 sd ci"), "{bad:?}");

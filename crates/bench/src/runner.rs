@@ -100,8 +100,8 @@ impl RunConfig {
     }
 
     /// The SLURM config this run executes with (the explicit override or
-    /// the per-workload heuristic). Public so the macro-benchmark can flip
-    /// `incremental` on an otherwise identical configuration.
+    /// the per-workload heuristic). Public so the macro-benchmark can build
+    /// the simulator state itself and time only the run.
     pub fn slurm_config(&self) -> SlurmConfig {
         if let Some(c) = &self.slurm {
             return c.clone();

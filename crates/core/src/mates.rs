@@ -68,9 +68,7 @@ pub struct MatePool<'a> {
 }
 
 impl<'a> MatePool<'a> {
-    /// The pool of `st`. Only incremental mode uses the running-by-end
-    /// prune; the legacy path keeps the unconditional scan as the perf
-    /// baseline (the outcome is identical either way).
+    /// The pool of `st`, with the running-by-end prune bound.
     pub fn of(st: &'a SimState) -> MatePool<'a> {
         MatePool {
             entries: st.eligible_mates(),
@@ -78,11 +76,7 @@ impl<'a> MatePool<'a> {
             full: st.spec().node.cores(),
             sharing: st.sharing(),
             idle_nodes: st.cluster.empty_node_count(),
-            latest_req_end: if st.cfg.incremental {
-                st.latest_running_req_end()
-            } else {
-                Some(SimTime::MAX)
-            },
+            latest_req_end: st.latest_running_req_end(),
         }
     }
 

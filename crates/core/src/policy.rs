@@ -126,12 +126,11 @@ impl SdPolicy {
         {
             return false;
         }
-        // In-place pass-profile delta (incremental mode; the legacy path
-        // rebuilds instead): a malleable start changes availability only
-        // through the idle nodes it took — the shared mate nodes keep their
-        // predicted release because the finish-inside constraint caps the
-        // borrower's requested end at the mates'.
-        if st.cfg.incremental && selection.free_nodes > 0 {
+        // In-place pass-profile delta: a malleable start changes
+        // availability only through the idle nodes it took — the shared mate
+        // nodes keep their predicted release because the finish-inside
+        // constraint caps the borrower's requested end at the mates'.
+        if selection.free_nodes > 0 {
             let req_end = st.job(id).running().expect("just started").req_end;
             profile.reserve(st.now, req_end.since(st.now), selection.free_nodes);
         }
@@ -169,9 +168,6 @@ impl Scheduler for SdPolicy {
                     let left = (job.spec.req_time as f64 - run.work_done).ceil();
                     (run.nodes.len() as u32, (left.max(1.0)) as u64)
                 };
-                // Same query under both settings: the linear sweep is pinned
-                // against the legacy oracle by a property test, so the
-                // legacy path no longer needs the quadratic scan here.
                 let start_now = profile.earliest_start(width, remaining, st.now);
                 if st.cluster.empty_node_count() < width || start_now != st.now {
                     continue;

@@ -202,7 +202,7 @@ fn arb_trial() -> impl Strategy<Value = Trial> {
                 sharing,
                 idle_nodes,
                 latest_req_end: match prune {
-                    0 => Some(SimTime::MAX), // legacy: never prunes
+                    0 => Some(SimTime::MAX), // never prunes
                     1 => None,               // idle machine
                     _ => Some(SimTime(1_000 + horizon)),
                 },

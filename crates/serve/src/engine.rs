@@ -2,7 +2,7 @@
 //!
 //! Every HTTP worker translates its request into a [`Command`] and sends it
 //! over one mpsc channel; this loop is the only code that ever touches the
-//! [`SimState`]/[`Controller`]. That keeps the PR 4 incremental hot path
+//! [`SimState`]/[`Controller`]. That keeps the scheduler hot path
 //! single-writer by construction — no locks around the availability-profile
 //! cache, the queue index or the energy meter (DESIGN.md §10).
 //!

@@ -21,10 +21,10 @@ use simkit::SimTime;
 pub trait Scheduler {
     fn schedule(&mut self, st: &mut SimState);
 
-    /// Whether a pass could act given what the event batch changed. Only
-    /// consulted in incremental mode; returning `false` must be *provably*
-    /// equivalent to running the pass (same `SimResult`) — the default is
-    /// the old controller's behaviour (any change ⇒ pass).
+    /// Whether a pass could act given what the event batch changed.
+    /// Returning `false` must be *provably* equivalent to running the pass
+    /// (same `SimResult`) — the default passes on any queue or capacity
+    /// change.
     fn pass_needed(&self, st: &SimState, dirty: DirtyFlags) -> bool {
         let _ = st;
         dirty.queue || dirty.capacity
@@ -72,12 +72,10 @@ pub type FlexStarted = bool;
 /// O(profile) walk per examined job; the common case is one O(1)
 /// [`Profile::can_start_now`] probe.
 ///
-/// On a `true` return the pass profile must account for the taken idle
-/// nodes: in incremental mode the hook itself applies the in-place
-/// [`Profile::reserve`] delta (shared mate nodes keep their release — the
-/// finish-inside constraint caps the borrower's requested end at the
-/// mates'); on the legacy path the profile is rebuilt from scratch and the
-/// waiting jobs' reservations are replayed.
+/// On a `true` return the hook must already have applied the in-place
+/// [`Profile::reserve`] delta for the idle nodes it took (shared mate nodes
+/// keep their release — the finish-inside constraint caps the borrower's
+/// requested end at the mates').
 ///
 /// On return `profile` is the end-of-pass availability (current starts and
 /// the waiting jobs' reservations applied), so callers can make further
@@ -93,12 +91,6 @@ where
     }
     let depth = st.cfg.backfill_depth;
     let mode = st.cfg.backfill_mode;
-    let incremental = st.cfg.incremental;
-    // Reservations made for still-waiting jobs this pass; on the legacy path
-    // they are re-applied after a malleable start forces a profile rebuild.
-    // (Started jobs are reflected in the release map, so they must NOT be
-    // re-applied.)
-    let mut waiting_resv = st.take_resv_scratch();
     let mut head_reserved = false;
 
     let mut prefix = st.take_prefix_scratch();
@@ -118,62 +110,6 @@ where
             continue;
         }
         let _trial = timing::scope(&timing::BACKFILL_TRIAL);
-        if !incremental {
-            // Legacy flow: full est for every examined job. The linear
-            // sweep answers exactly like the quadratic
-            // `earliest_start_legacy` — pinned by the oracle property tests
-            // in `reservation.rs`.
-            let est = profile.earliest_start(req_nodes, req_time, st.now);
-            if est == st.now {
-                if st.start_static(id) {
-                    profile.reserve(st.now, req_time, req_nodes);
-                } else {
-                    st.trace.emit(
-                        st.now.secs(),
-                        TraceKind::BackfillRejected {
-                            job: id.0,
-                            reason: RejectReason::Fragmentation,
-                        },
-                    );
-                }
-                continue;
-            }
-            if est > st.now && est != SimTime::MAX && flexible(st, id, Some(est), profile) {
-                *profile = st.build_profile();
-                for &(s, d, n) in &waiting_resv {
-                    profile.reserve(s, d, n);
-                }
-                continue;
-            }
-            if est == SimTime::MAX {
-                st.trace.emit(
-                    st.now.secs(),
-                    TraceKind::BackfillRejected { job: id.0, reason: RejectReason::NeverFits },
-                );
-                continue; // cannot ever run (larger than the machine)
-            }
-            let reserve = match mode {
-                BackfillMode::Conservative => true,
-                BackfillMode::Easy => !head_reserved,
-            };
-            if reserve {
-                profile.reserve(est, req_time, req_nodes);
-                waiting_resv.push((est, req_time, req_nodes));
-                head_reserved = true;
-                st.trace.emit(
-                    st.now.secs(),
-                    TraceKind::EasyReserved { job: id.0, est: est.secs() },
-                );
-            } else {
-                st.trace.emit(
-                    st.now.secs(),
-                    TraceKind::BackfillRejected { job: id.0, reason: RejectReason::NoFitNow },
-                );
-            }
-            continue;
-        }
-
-        // Incremental flow — same decisions, lazily computed.
         if profile.can_start_now(req_nodes, req_time, st.now) {
             if st.start_static(id) {
                 profile.reserve(st.now, req_time, req_nodes);
@@ -209,7 +145,6 @@ where
                 continue; // hook applied the in-place delta
             }
             profile.reserve(est, req_time, req_nodes);
-            waiting_resv.push((est, req_time, req_nodes));
             head_reserved = true;
             st.trace
                 .emit(st.now.secs(), TraceKind::EasyReserved { job: id.0, est: est.secs() });
@@ -225,7 +160,6 @@ where
         }
     }
     st.stats.peak_profile_len = st.stats.peak_profile_len.max(profile.len());
-    st.recycle_resv_scratch(waiting_resv);
     st.recycle_prefix_scratch(prefix);
 }
 

@@ -31,13 +31,6 @@ pub struct SlurmConfig {
     pub malleable_seed: u64,
     /// Run `ClusterState::validate` after every mutation (tests/debug).
     pub self_check: bool,
-    /// Incremental scheduler hot path (DESIGN.md §9): cached availability
-    /// profile patched on start/end/reconfigure, linear-sweep
-    /// `earliest_start`, in-place delta after malleable starts, and no-op
-    /// pass gating. `false` replays the original rebuild-everything path —
-    /// results are bit-identical either way (enforced by tests); the legacy
-    /// path exists as the macro-benchmark baseline and equivalence oracle.
-    pub incremental: bool,
     /// The tenant table (identities, weights, quotas). Empty — the default —
     /// disables all tenant accounting and quota checks; the simulator is
     /// then bit-identical to the untenanted build.
@@ -56,7 +49,6 @@ impl Default for SlurmConfig {
             malleable_fraction: 1.0,
             malleable_seed: 0xD20,
             self_check: false,
-            incremental: true,
             tenants: TenantRegistry::default(),
             queue_policy: QueuePolicy::Fifo,
         }

@@ -44,17 +44,8 @@ impl<S: Scheduler> Controller<S> {
                 changed |= self.state.dispatch(ev.payload);
             }
             if changed {
-                // Pass gating (incremental mode): skip the pass when the
-                // scheduler proves it could not act on what changed. The
-                // dirty flags are consumed either way so they always cover
-                // exactly the batches since the last pass opportunity.
                 let dirty = self.state.take_dirty();
-                if !self.state.cfg.incremental || self.scheduler.pass_needed(&self.state, dirty)
-                {
-                    self.run_pass();
-                } else {
-                    self.state.stats.passes_skipped += 1;
-                }
+                self.gated_pass(dirty);
             }
         }
     }
@@ -91,10 +82,17 @@ impl<S: Scheduler> Controller<S> {
     /// changes (a cancellation) so the scheduler sees them without an event.
     pub fn pass_now(&mut self) {
         let dirty = self.state.take_dirty();
-        if dirty == crate::state::DirtyFlags::default() {
-            return;
+        if dirty != crate::state::DirtyFlags::default() {
+            self.gated_pass(dirty);
         }
-        if !self.state.cfg.incremental || self.scheduler.pass_needed(&self.state, dirty) {
+    }
+
+    /// Pass gating: skips the pass when the scheduler proves it could not
+    /// act on what changed. Callers consume the dirty flags either way, so
+    /// they always cover exactly the batches since the last pass
+    /// opportunity.
+    fn gated_pass(&mut self, dirty: crate::state::DirtyFlags) {
+        if self.scheduler.pass_needed(&self.state, dirty) {
             self.run_pass();
         } else {
             self.state.stats.passes_skipped += 1;

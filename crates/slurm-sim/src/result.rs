@@ -9,7 +9,7 @@ use simkit::SimTime;
 /// this carries the raw material plus the headline aggregates.
 ///
 /// `PartialEq` compares every field bit-for-bit — the equivalence tests
-/// (incremental vs legacy path, online session vs offline replay) rely on it.
+/// (gated vs ungated passes, online session vs offline replay) rely on it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     pub scheduler: &'static str,

@@ -265,23 +265,9 @@ impl SimState {
 
     /// Running malleable-backfilled jobs currently shrunk below full width —
     /// the candidates for [`SimState::relocate_borrower`] (ascending id).
-    /// Incremental mode serves this from an index maintained at every
-    /// reconfiguration; the legacy path keeps the original running-set scan
-    /// as the perf baseline (both orders are ascending — identical output).
+    /// Served from an index maintained at every reconfiguration.
     pub fn shrunk_borrowers(&self) -> Vec<JobId> {
-        if self.cfg.incremental {
-            self.shrunk.iter().copied().collect()
-        } else {
-            self.running
-                .iter()
-                .copied()
-                .filter(|&id| {
-                    self.job(id)
-                        .running()
-                        .is_some_and(|r| r.malleable_backfilled && !r.at_full_allocation())
-                })
-                .collect()
-        }
+        self.shrunk.iter().copied().collect()
     }
 
     /// Whether any shrunk borrower exists (O(1); pass gating).
@@ -649,8 +635,8 @@ impl SimState {
         latest
     }
 
-    /// Recomputes a node's predicted release and, in incremental mode,
-    /// patches the cached availability profile with the delta.
+    /// Recomputes a node's predicted release and patches the cached
+    /// availability profile with the delta.
     pub(super) fn update_release(&mut self, n: NodeId) {
         let latest = self.node_release(n);
         let old = self.releases.release_of(n);
@@ -658,9 +644,7 @@ impl SimState {
             return;
         }
         self.releases.set_release(n, latest);
-        if self.cfg.incremental {
-            self.avail.patch_release(self.now, old, latest);
-        }
+        self.avail.patch_release(self.now, old, latest);
     }
 
     /// [`SimState::update_release`] over a whole allocation: identical
@@ -677,9 +661,6 @@ impl SimState {
                 continue;
             }
             self.releases.set_release(n, latest);
-            if !self.cfg.incremental {
-                continue;
-            }
             match groups.iter_mut().find(|g| g.0 == old && g.1 == latest) {
                 Some(g) => g.2 += 1,
                 None => groups.push((old, latest, 1)),

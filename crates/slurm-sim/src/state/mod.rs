@@ -56,7 +56,7 @@ pub struct SimStats {
     pub relocations: u64,
     pub sched_passes: u64,
     /// Event batches whose pass was provably a no-op and was skipped
-    /// (incremental mode only; always 0 on the legacy path).
+    /// ([`crate::Scheduler::pass_needed`] returned `false`).
     pub passes_skipped: u64,
     /// Jobs withdrawn via [`SimState::cancel_job`] (always 0 for offline
     /// trace replays — cancellation only exists on the online path).
@@ -87,7 +87,6 @@ pub struct DirtyFlags {
 #[derive(Debug, Default)]
 struct PassScratch {
     profile: Profile,
-    resv: Vec<(SimTime, u64, u32)>,
     prefix: Vec<crate::queue::QueueEntry>,
 }
 
@@ -134,8 +133,8 @@ pub struct SimState {
     /// (maintained at every reconfiguration; ascending id).
     shrunk: BTreeSet<JobId>,
     releases: ReleaseMap,
-    /// Cached availability, patched on every release change (incremental
-    /// mode). It always equals `Profile::build(now', empty, releases)` for
+    /// Cached availability, patched on every release change. It always
+    /// equals `Profile::build(now', empty, releases)` for
     /// the instant `now'` it was last advanced to.
     avail: Profile,
     dirty: DirtyFlags,
@@ -381,8 +380,8 @@ impl SimState {
     }
 
     /// Availability profile at `now`, rebuilt from scratch (requested-time
-    /// based). In incremental mode this is the *slow path*: passes use the
-    /// cached [`SimState::availability`]; this rebuild remains the
+    /// based). This is the *slow path*: passes use the cached
+    /// [`SimState::availability`]; this rebuild remains the
     /// validation oracle (`self_check`, [`SimState::deep_validate`], tests).
     pub fn build_profile(&self) -> Profile {
         Profile::build(self.now, self.cluster.empty_node_count(), &self.releases)
@@ -456,11 +455,8 @@ impl SimState {
 
 
     /// Asserts the cached availability profile equals a fresh rebuild
-    /// (incremental mode; called from the `self_check` blocks).
+    /// (called from the `self_check` blocks).
     fn self_check_avail(&mut self) {
-        if !self.cfg.incremental {
-            return;
-        }
         let fresh = self.build_profile();
         let now = self.now;
         assert_eq!(
@@ -535,12 +531,10 @@ impl SimState {
                 }
             }
         }
-        if self.cfg.incremental {
-            let mut cached = self.avail.clone();
-            cached.advance_to(self.now);
-            if cached != self.build_profile() {
-                return Err("cached availability diverged from rebuild".into());
-            }
+        let mut cached = self.avail.clone();
+        cached.advance_to(self.now);
+        if cached != self.build_profile() {
+            return Err("cached availability diverged from rebuild".into());
         }
         Ok(())
     }

@@ -6,14 +6,9 @@ use super::*;
 
 impl SimState {
 
-    /// Takes the reusable pass-availability buffer, filled with the current
-    /// availability: a snapshot of the cache in incremental mode (no
-    /// BTreeMap walk, allocations reused), a fresh rebuild on the legacy
-    /// path.
+    /// Takes the reusable pass-availability buffer, filled with a snapshot
+    /// of the cached availability (no BTreeMap walk, allocations reused).
     pub fn take_pass_profile(&mut self) -> Profile {
-        if !self.cfg.incremental {
-            return self.build_profile();
-        }
         let mut p = std::mem::take(&mut self.scratch.profile);
         p.clone_from(self.availability());
         p
@@ -22,16 +17,6 @@ impl SimState {
     /// Returns a pass availability for reuse by the next pass.
     pub fn recycle_pass_profile(&mut self, p: Profile) {
         self.scratch.profile = p;
-    }
-
-    pub(crate) fn take_resv_scratch(&mut self) -> Vec<(SimTime, u64, u32)> {
-        let mut v = std::mem::take(&mut self.scratch.resv);
-        v.clear();
-        v
-    }
-
-    pub(crate) fn recycle_resv_scratch(&mut self, v: Vec<(SimTime, u64, u32)>) {
-        self.scratch.resv = v;
     }
 
     pub(crate) fn take_prefix_scratch(&mut self) -> Vec<crate::queue::QueueEntry> {

@@ -23,7 +23,7 @@ use drom::DromHandle;
 use workload::AppId;
 
 const MAGIC: u32 = 0x5344_5353; // "SDSS"
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 // ----------------------------------------------------------------------
 // Byte codec
@@ -192,7 +192,6 @@ impl SimState {
         // Configuration fingerprint (checked on restore).
         w.u32(self.spec.nodes);
         w.u32(self.spec.node.cores());
-        w.bool(self.cfg.incremental);
         w.u32(self.cfg.tenants.len() as u32);
 
         w.time(self.now);
@@ -437,13 +436,6 @@ impl SimState {
                 "checkpoint is for a {nodes}×{cores} machine, config says {}×{}",
                 spec.nodes,
                 spec.node.cores()
-            ));
-        }
-        let incremental = r.bool()?;
-        if incremental != cfg.incremental {
-            return Err(format!(
-                "checkpoint was taken with incremental={incremental}, config says {}",
-                cfg.incremental
             ));
         }
         let tenant_count = r.u32()? as usize;
@@ -759,7 +751,7 @@ impl SimState {
         }
 
         // Availability cache: rebuilt canonically at `now` — equal (by the
-        // incremental-maintenance invariant) to the advanced cache the
+        // cache-maintenance invariant) to the advanced cache the
         // uninterrupted run would hold.
         st.avail = st.build_profile();
         st.scratch = PassScratch::default();
@@ -783,10 +775,9 @@ mod tests {
         spec
     }
 
-    fn cfg(incremental: bool) -> SlurmConfig {
+    fn cfg() -> SlurmConfig {
         SlurmConfig {
             self_check: true,
-            incremental,
             ..SlurmConfig::default()
         }
     }
@@ -795,10 +786,10 @@ mod tests {
         swf::SwfJob::for_simulation(id, submit, run, nodes * 8, req)
     }
 
-    fn mid_run_state(incremental: bool) -> SimState {
+    fn mid_run_state() -> SimState {
         let mut st = SimState::new_online(
             spec4(),
-            cfg(incremental),
+            cfg(),
             Box::new(WorstCaseModel),
             SharingFactor::HALF,
         );
@@ -856,42 +847,34 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_and_validates() {
-        for inc in [false, true] {
-            let st = mid_run_state(inc);
-            let re = roundtrip(&st);
-            re.deep_validate().expect("restored state valid");
-            assert_eq!(re.now, st.now);
-            assert_eq!(re.job_count(), st.job_count());
-            assert_eq!(re.running_count(), st.running_count());
-            assert_eq!(re.queue.len(), st.queue.len());
-            assert_eq!(re.stats, st.stats);
-            assert_eq!(re.first_submit(), st.first_submit());
-            // Second serialization is bit-identical: the image is canonical.
-            assert_eq!(re.checkpoint_bytes(), st.checkpoint_bytes());
-        }
+        let st = mid_run_state();
+        let re = roundtrip(&st);
+        re.deep_validate().expect("restored state valid");
+        assert_eq!(re.now, st.now);
+        assert_eq!(re.job_count(), st.job_count());
+        assert_eq!(re.running_count(), st.running_count());
+        assert_eq!(re.queue.len(), st.queue.len());
+        assert_eq!(re.stats, st.stats);
+        assert_eq!(re.first_submit(), st.first_submit());
+        // Second serialization is bit-identical: the image is canonical.
+        assert_eq!(re.checkpoint_bytes(), st.checkpoint_bytes());
     }
 
     #[test]
     fn restored_run_finishes_identically() {
-        for inc in [false, true] {
-            let st = mid_run_state(inc);
-            let re = roundtrip(&st);
-            let (out_a, stats_a, joules_a, last_a) = run_to_end(st);
-            let (out_b, stats_b, joules_b, last_b) = run_to_end(re);
-            assert_eq!(out_a, out_b, "outcomes diverged (incremental={inc})");
-            assert_eq!(stats_a, stats_b, "stats diverged (incremental={inc})");
-            assert_eq!(
-                joules_a.to_bits(),
-                joules_b.to_bits(),
-                "energy diverged (incremental={inc})"
-            );
-            assert_eq!(last_a, last_b);
-        }
+        let st = mid_run_state();
+        let re = roundtrip(&st);
+        let (out_a, stats_a, joules_a, last_a) = run_to_end(st);
+        let (out_b, stats_b, joules_b, last_b) = run_to_end(re);
+        assert_eq!(out_a, out_b, "outcomes diverged");
+        assert_eq!(stats_a, stats_b, "stats diverged");
+        assert_eq!(joules_a.to_bits(), joules_b.to_bits(), "energy diverged");
+        assert_eq!(last_a, last_b);
     }
 
     #[test]
     fn fingerprint_mismatches_are_rejected() {
-        let st = mid_run_state(true);
+        let st = mid_run_state();
         let bytes = st.checkpoint_bytes();
         // Wrong machine size.
         let mut big = spec4();
@@ -905,45 +888,37 @@ mod tests {
         )
         .err().unwrap();
         assert!(err.contains("machine"), "{err}");
-        // Wrong hot-path setting.
-        let err = SimState::restore(
-            spec4(),
-            cfg(false),
-            Box::new(WorstCaseModel),
-            st.sharing(),
-            &bytes,
-        )
-        .err().unwrap();
-        assert!(err.contains("incremental"), "{err}");
     }
 
     /// Version 1 images carried an availability-backend tag in the
-    /// fingerprint; version 2 dropped it, so a version-1 image must be
-    /// refused up front rather than misread.
+    /// fingerprint and version 2 a hot-path flag; version 3 dropped both, so
+    /// older images must be refused up front rather than misread.
     #[test]
     fn version_1_images_are_rejected() {
-        let st = mid_run_state(true);
-        let mut bytes = st.checkpoint_bytes();
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let err = SimState::restore(
-            spec4(),
-            cfg(true),
-            Box::new(WorstCaseModel),
-            st.sharing(),
-            &bytes,
-        )
-        .err().unwrap();
-        assert!(err.contains("version 1"), "{err}");
+        let st = mid_run_state();
+        for old in [1u32, 2] {
+            let mut bytes = st.checkpoint_bytes();
+            bytes[4..8].copy_from_slice(&old.to_le_bytes());
+            let err = SimState::restore(
+                spec4(),
+                cfg(),
+                Box::new(WorstCaseModel),
+                st.sharing(),
+                &bytes,
+            )
+            .err().unwrap();
+            assert!(err.contains(&format!("version {old}")), "{err}");
+        }
     }
 
     #[test]
     fn corrupt_or_truncated_bytes_error_cleanly() {
-        let st = mid_run_state(true);
+        let st = mid_run_state();
         let bytes = st.checkpoint_bytes();
         let try_restore = |data: &[u8]| {
             SimState::restore(
                 spec4(),
-                cfg(true),
+                cfg(),
                 Box::new(WorstCaseModel),
                 SharingFactor::HALF,
                 data,

@@ -1,29 +1,20 @@
 //! The virtual-clock equivalence obligation (DESIGN.md §10): a scripted
 //! live session over loopback HTTP — every job submitted through the wire
 //! with its trace timestamp, then one drain — must produce a [`SimResult`]
-//! **identical** to the offline replay of the same workload. Both
-//! `incremental` settings are pinned; the result travels back through the
-//! JSON protocol, so floats surviving bit-for-bit is part of the claim.
+//! **identical** to the offline replay of the same workload. The result
+//! travels back through the JSON protocol, so floats surviving bit-for-bit
+//! is part of the claim.
 //!
 //! The recovery variant (DESIGN.md §14) extends the obligation through a
 //! crash: a session that loses its process mid-traffic and recovers from
-//! checkpoint + WAL must still finish bit-identical to the offline replay —
-//! for both `incremental` settings, and even when the WAL carries a torn
-//! tail.
+//! checkpoint + WAL must still finish bit-identical to the offline replay,
+//! even when the WAL carries a torn tail.
 
 use sd_sched::prelude::*;
 use sd_serve::engine::{ClockMode, Engine};
 use sd_serve::proto::SubmitRequest;
 use sd_serve::server::{self, ServerConfig};
 use sd_serve::{Client, FsyncPolicy, Json, WalStatus};
-
-fn cfg_for(incremental: bool, fraction: f64) -> SlurmConfig {
-    SlurmConfig {
-        incremental,
-        malleable_fraction: fraction,
-        ..SlurmConfig::default()
-    }
-}
 
 fn offline(trace: &Trace, cluster: ClusterSpec, cfg: SlurmConfig, sd: bool) -> SimResult {
     if sd {
@@ -97,16 +88,17 @@ fn assert_equivalent(scale: f64, seed: u64, sd: bool, fraction: f64) {
     let trace = w.generate(seed, scale);
     let cluster = w.cluster(scale);
     assert!(!trace.jobs.is_empty());
-    for incremental in [true, false] {
-        let cfg = cfg_for(incremental, fraction);
-        let off = offline(&trace, cluster.clone(), cfg.clone(), sd);
-        let on = online(&trace, cluster.clone(), cfg, sd);
-        assert_eq!(
-            on, off,
-            "online session diverged from offline replay \
-             (sd={sd} incremental={incremental} seed={seed} fraction={fraction})"
-        );
-    }
+    let cfg = SlurmConfig {
+        malleable_fraction: fraction,
+        ..SlurmConfig::default()
+    };
+    let off = offline(&trace, cluster.clone(), cfg.clone(), sd);
+    let on = online(&trace, cluster, cfg, sd);
+    assert_eq!(
+        on, off,
+        "online session diverged from offline replay \
+         (sd={sd} seed={seed} fraction={fraction})"
+    );
 }
 
 #[test]
@@ -140,33 +132,27 @@ fn tenanted_fair_share_session_matches_offline_replay() {
         trace.jobs.iter().any(|j| j.user > 1),
         "the mix stamps more than one tenant"
     );
-    for incremental in [true, false] {
-        let mut tenants = TenantRegistry::new();
-        for id in 1..=3 {
-            tenants.add(Tenant {
-                quota: Quota {
-                    node_seconds: None,
-                    max_running_width: Some(cluster.nodes.max(2) / 2),
-                },
-                ..Tenant::unlimited(id, 0)
-            });
-        }
-        let cfg = SlurmConfig {
-            incremental,
-            tenants,
-            queue_policy: QueuePolicy::FairShare { half_life: 3600 },
-            ..SlurmConfig::default()
-        };
-        let off = offline(&trace, cluster.clone(), cfg.clone(), true);
-        let on = online(&trace, cluster.clone(), cfg, true);
-        assert_eq!(
-            on, off,
-            "tenanted online session diverged (incremental={incremental})"
-        );
-        let labels: std::collections::BTreeSet<u32> =
-            on.outcomes.iter().map(|o| o.tenant).collect();
-        assert!(labels.len() > 1, "outcomes carry the tenant mix: {labels:?}");
+    let mut tenants = TenantRegistry::new();
+    for id in 1..=3 {
+        tenants.add(Tenant {
+            quota: Quota {
+                node_seconds: None,
+                max_running_width: Some(cluster.nodes.max(2) / 2),
+            },
+            ..Tenant::unlimited(id, 0)
+        });
     }
+    let cfg = SlurmConfig {
+        tenants,
+        queue_policy: QueuePolicy::FairShare { half_life: 3600 },
+        ..SlurmConfig::default()
+    };
+    let off = offline(&trace, cluster.clone(), cfg.clone(), true);
+    let on = online(&trace, cluster, cfg, true);
+    assert_eq!(on, off, "tenanted online session diverged");
+    let labels: std::collections::BTreeSet<u32> =
+        on.outcomes.iter().map(|o| o.tenant).collect();
+    assert!(labels.len() > 1, "outcomes carry the tenant mix: {labels:?}");
 }
 
 fn wire_request(j: &SwfJob) -> SubmitRequest {
@@ -223,14 +209,11 @@ fn crash_image(src: &std::path::Path, dst: &std::path::Path) {
 
 /// Half a session, a crash, recovery, the other half — must equal the
 /// offline replay bit-for-bit.
-fn assert_recovery_equivalent(incremental: bool, torn: bool, tag: &str) {
+fn assert_recovery_equivalent(torn: bool, tag: &str) {
     let w = PaperWorkload::W3Ricc;
     let trace = w.generate(7, 0.02);
     let cluster = w.cluster(0.02);
-    let cfg = SlurmConfig {
-        incremental,
-        ..SlurmConfig::default()
-    };
+    let cfg = SlurmConfig::default();
     let reference = offline(&trace, cluster.clone(), cfg.clone(), true);
 
     let base = std::env::temp_dir().join(format!("sd-serve-eq-{}-{tag}", std::process::id()));
@@ -294,21 +277,18 @@ fn assert_recovery_equivalent(incremental: bool, torn: bool, tag: &str) {
     assert_eq!(
         recovered, reference,
         "recovered session diverged from the offline replay \
-         (incremental={incremental} torn={torn})"
+         (torn={torn})"
     );
 }
 
 #[test]
 fn recovered_session_matches_offline_replay_across_hot_paths() {
-    for incremental in [true, false] {
-        let tag = format!("i{}", u8::from(incremental));
-        assert_recovery_equivalent(incremental, false, &tag);
-    }
+    assert_recovery_equivalent(false, "clean");
 }
 
 #[test]
 fn torn_wal_tail_recovery_still_matches_offline_replay() {
-    assert_recovery_equivalent(true, true, "torn");
+    assert_recovery_equivalent(true, "torn");
 }
 
 #[test]

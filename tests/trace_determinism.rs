@@ -1,7 +1,6 @@
 //! Decision tracing must not perturb the simulation, and the stream itself
 //! must be reproducible: running the same workload twice with tracing armed
-//! yields byte-identical virtual-time renderings (DESIGN.md §12), on both
-//! the incremental hot path and the legacy rebuild-everything path. Wall
+//! yields byte-identical virtual-time renderings (DESIGN.md §12). Wall
 //! clock readings are confined to the `wall_ns` field that
 //! [`render_virtual`] deliberately omits.
 
@@ -11,22 +10,13 @@ use sd_sched::slurm_sim::{render_virtual, TraceEvent, TraceRing};
 use std::sync::Arc;
 
 /// Runs one traced simulation and returns (result, events).
-fn traced_run(
-    w: PaperWorkload,
-    seed: u64,
-    sd: bool,
-    incremental: bool,
-) -> (SimResult, Vec<TraceEvent>) {
+fn traced_run(w: PaperWorkload, seed: u64, sd: bool) -> (SimResult, Vec<TraceEvent>) {
     let scale = 0.02;
     let trace = w.generate(seed, scale);
-    let cfg = SlurmConfig {
-        incremental,
-        ..SlurmConfig::default()
-    };
     let ring = Arc::new(TraceRing::new(1 << 20));
     let mut state = SimState::new(
         w.cluster(scale),
-        cfg,
+        SlurmConfig::default(),
         &trace,
         Box::new(IdealModel),
         SharingFactor::HALF,
@@ -41,19 +31,16 @@ fn traced_run(
     (res, ring.snapshot())
 }
 
-fn assert_deterministic(w: PaperWorkload, seed: u64, sd: bool, incremental: bool) {
-    let (res_a, ev_a) = traced_run(w, seed, sd, incremental);
-    let (res_b, ev_b) = traced_run(w, seed, sd, incremental);
-    assert_eq!(
-        res_a, res_b,
-        "{w:?} sd={sd} incremental={incremental}: results diverged"
-    );
+fn assert_deterministic(w: PaperWorkload, seed: u64, sd: bool) {
+    let (res_a, ev_a) = traced_run(w, seed, sd);
+    let (res_b, ev_b) = traced_run(w, seed, sd);
+    assert_eq!(res_a, res_b, "{w:?} sd={sd}: results diverged");
     let virt_a = render_virtual(&ev_a);
     let virt_b = render_virtual(&ev_b);
     assert!(!virt_a.is_empty(), "traced run produced events");
     assert_eq!(
         virt_a, virt_b,
-        "{w:?} sd={sd} incremental={incremental}: virtual-time streams diverged"
+        "{w:?} sd={sd}: virtual-time streams diverged"
     );
     // Sequence numbers are dense from 0 — nothing was lost or reordered.
     for (i, ev) in ev_a.iter().enumerate() {
@@ -63,20 +50,14 @@ fn assert_deterministic(w: PaperWorkload, seed: u64, sd: bool, incremental: bool
 
 #[test]
 fn virtual_stream_is_identical_across_runs_incremental() {
-    assert_deterministic(PaperWorkload::W3Ricc, 42, true, true);
-    assert_deterministic(PaperWorkload::W3Ricc, 42, false, true);
-}
-
-#[test]
-fn virtual_stream_is_identical_across_runs_legacy_path() {
-    assert_deterministic(PaperWorkload::W3Ricc, 42, true, false);
-    assert_deterministic(PaperWorkload::W3Ricc, 42, false, false);
+    assert_deterministic(PaperWorkload::W3Ricc, 42, true);
+    assert_deterministic(PaperWorkload::W3Ricc, 42, false);
 }
 
 #[test]
 fn virtual_stream_is_seed_sensitive() {
-    let (_, ev_a) = traced_run(PaperWorkload::W3Ricc, 1, true, true);
-    let (_, ev_b) = traced_run(PaperWorkload::W3Ricc, 2, true, true);
+    let (_, ev_a) = traced_run(PaperWorkload::W3Ricc, 1, true);
+    let (_, ev_b) = traced_run(PaperWorkload::W3Ricc, 2, true);
     assert_ne!(
         render_virtual(&ev_a),
         render_virtual(&ev_b),
@@ -98,7 +79,7 @@ fn tracing_does_not_perturb_the_simulation() {
         SharingFactor::HALF,
         SdPolicy::default(),
     );
-    let (traced, events) = traced_run(w, 42, true, true);
+    let (traced, events) = traced_run(w, 42, true);
     assert_eq!(bare, traced, "attaching a trace ring changed the simulation");
     assert!(events.len() > bare.outcomes.len(), "at least one event per job");
 }
